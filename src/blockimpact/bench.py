@@ -1,7 +1,8 @@
 """Timing harness for the linear-scaling claim.
 
 Graph generation happens outside the measured region; only the analysis
-pipeline (components + block forest + subtree sizes + impacts) is timed.
+(:func:`compute_all_impacts`: one lowpoint DFS, the impacts and the report)
+is timed.
 GC is paused inside the timed region, as timeit does, so allocator pauses do
 not land on individual rows.
 """
@@ -42,6 +43,23 @@ def time_all_impacts(g: Graph, repeats: int = 1) -> float:
     return statistics.median(times)
 
 
+def bench_graph(
+    family: str, n: int, *, m_per_n: float = 2.0, k: int | None = None, seed: int = 0
+) -> Graph:
+    """The graph a sweep times at ``n`` vertices (gnm gets ``m_per_n * n``
+    edges, capped at the complete graph). Raises ValueError on family
+    parameters the generator rejects."""
+    m = None
+    if family == "gnm":
+        m = min(int(round(m_per_n * n)), n * (n - 1) // 2)
+    return generate(GeneratorSpec(family, n, m=m, k=k, seed=seed))
+
+
+def bench_row(family: str, g: Graph, repeats: int) -> BenchRow:
+    seconds = time_all_impacts(g, repeats)
+    return BenchRow(family, g.n, g.m, seconds, seconds / (g.n + g.m) * 1e9)
+
+
 def sweep(
     family: str,
     sizes: list[int],
@@ -51,19 +69,16 @@ def sweep(
     seed: int = 0,
     repeats: int = 1,
 ) -> list[BenchRow]:
+    """One row per size. Raises ValueError unless every size and ``repeats``
+    are >= 1, or when the family rejects its parameters."""
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    rows = []
-    for n in sizes:
-        if n < 1:
-            raise ValueError(f"sizes must be >= 1, got {n}")
-        m = None
-        if family == "gnm":
-            m = min(int(round(m_per_n * n)), n * (n - 1) // 2)
-        g = generate(GeneratorSpec(family, n, m=m, k=k, seed=seed))
-        seconds = time_all_impacts(g, repeats)
-        rows.append(BenchRow(family, g.n, g.m, seconds, seconds / (g.n + g.m) * 1e9))
-    return rows
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"sizes must be >= 1, got {min(sizes)}")
+    return [
+        bench_row(family, bench_graph(family, n, m_per_n=m_per_n, k=k, seed=seed), repeats)
+        for n in sizes
+    ]
 
 
 def format_rows(rows: list[BenchRow]) -> str:

@@ -2,19 +2,22 @@
 
 Subcommands: ``analyze`` prints the impact report, ``check`` cross-checks the
 fast path against the removal oracle, ``dot`` emits the block forest as
-Graphviz text, ``bench`` runs the scaling harness. Exit codes: 0 success,
-1 check mismatch, 2 usage or input errors.
+Graphviz text, ``bench`` runs the scaling harness. Exit codes: 0 success
+(also when the reader closes stdout early, as ``| head`` does), 1 check
+mismatch, 2 usage or input errors. Any other exception is a program fault
+and is not reported as bad input.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from typing import TextIO
 
-from .bench import format_rows, sweep
+from .bench import bench_graph, bench_row, format_rows
 from .dot import export_dot
 from .forest import build_block_forest
 from .graph import (
@@ -206,14 +209,20 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if not sizes:
         print("error: --sizes is empty", file=err)
         return 2
-    rows = sweep(
-        args.family,
-        sizes,
-        m_per_n=args.m_per_n,
-        k=args.k,
-        seed=args.seed,
-        repeats=args.repeats,
-    )
+    if min(sizes) < 1:
+        print(f"error: sizes must be >= 1, got {min(sizes)}", file=err)
+        return 2
+    if args.repeats < 1:
+        print("error: repeats must be >= 1", file=err)
+        return 2
+    rows = []
+    for n in sizes:
+        try:
+            g = bench_graph(args.family, n, m_per_n=args.m_per_n, k=args.k, seed=args.seed)
+        except ValueError as exc:  # family parameters the generator rejects
+            print(f"error: {exc}", file=err)
+            return 2
+        rows.append(bench_row(args.family, g, args.repeats))
     out.write(format_rows(rows))
     return 0
 
@@ -232,13 +241,14 @@ def run(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args, sys.stdout, sys.stderr)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except BrokenPipeError:
+        # The reader went away (``| head``): stop quietly. Point stdout's
+        # descriptor at devnull so the flush at interpreter exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
+    except (ParseError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,20 @@
-"""Subtree sizes on the block forest and per-vertex impact values.
+"""Per-vertex impact values: one lowpoint DFS, and the block forest method.
 
 The impact of a vertex is how many vertices end up outside the largest
 surviving connected component of its own component once the vertex is
-removed; it is 0 exactly for non-articulation vertices. Removing v splits
-its component into one piece per child block of v's square node, plus the
-piece "above" v through its parent; every piece size falls out of the square
-counts stored on the rooted forest, so after one subtree-size sweep the
-impact of all vertices is a single further pass.
+removed; it is 0 exactly for non-articulation vertices.
+
+:func:`compute_all_impacts` reads every impact off one Hopcroft-Tarjan DFS.
+When DFS child c of v has lowpoint(c) >= number(v), removing v cuts c's whole
+subtree off as one piece, of as many vertices as were discovered while c was
+open; what is left of v's component minus those pieces and v is the last
+piece. No block forest is built on this path.
+
+The paper's method gets the same pieces from the rooted block forest: one per
+child block of v's square node, plus the piece "above" v through its parent,
+all read off the square counts of one subtree-size sweep. It stays here for
+``dot`` (:func:`compute_sq_sizes`) and as a second linear-time oracle,
+:func:`forest_impacts`, that the tests hold the DFS path against.
 """
 
 from __future__ import annotations
@@ -164,25 +172,25 @@ class ImpactReport:
         cc: CcLabeling,
         m: int,
     ) -> "ImpactReport":
+        """Assemble a report; it keeps ``cc``'s component id list, not a copy."""
         n = len(labels)
         comp_id = cc.component_id
         comp_size_col = [cc.component_size[c] for c in comp_id]
-        max_impact = 0
-        max_label: str | None = None
-        for lab, imp in zip(labels, impact):
-            if max_label is None or imp > max_impact or (imp == max_impact and lab < max_label):
-                max_impact = imp
-                max_label = lab
+        max_impact = max(impact, default=0)
+        # Ties for the largest impact go to the smallest label.
+        max_label = min(
+            (lab for lab, imp in zip(labels, impact) if imp == max_impact), default=None
+        )
         return cls(
             labels=labels,
             impact=impact,
             is_articulation=is_articulation,
-            component_id=list(comp_id),
+            component_id=comp_id,
             component_size=comp_size_col,
             n=n,
             m=m,
             articulation_count=sum(is_articulation),
-            max_impact=max_impact if n else 0,
+            max_impact=max_impact,
             max_impact_label=max_label,
         )
 
@@ -197,15 +205,99 @@ class ImpactReport:
             )
 
 
-def compute_all_impacts(g: Graph) -> ImpactReport:
-    """Full pipeline: components, block forest, subtree sizes, all impacts.
+def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
+    """Component labeling plus, per vertex v, the total and the largest size
+    of the DFS child subtrees that removing v cuts off as separate pieces.
 
-    The component labeling is picked up from the forest-building DFS itself
-    (the labeling :func:`blockimpact.graph.connected_components` produces,
-    minus the cost of a second traversal).
+    One explicit-stack DFS over the CSR arrays, components started in vertex
+    order, so component ids follow each component's first-visited vertex as
+    in :func:`blockimpact.graph.connected_components`. The tree edge back to
+    the parent p is not skipped: it can lower the child's lowpoint only to
+    number(p), which leaves the test lowpoint(child) >= number(p) unchanged.
     """
-    bf, cc = build_forest_and_labeling(g)
-    sizes = compute_sq_sizes(bf)
-    impacts = impact_vector(bf, sizes, cc)
-    flags = [d >= 2 for d in bf.square_degrees()]
+    n = g.n
+    indptr = g.indptr
+    nbr = g.nbr
+    number = [-1] * n
+    lowpt = [0] * n
+    comp = [0] * n
+    cut_sum = [0] * n
+    cut_max = [0] * n
+    cursor = indptr[:n]  # next adjacency slot to scan, per vertex
+    sizes: list[int] = []
+    timer = 0
+    for s in range(n):
+        if number[s] >= 0:
+            continue
+        cid = len(sizes)
+        first = timer
+        number[s] = lowpt[s] = timer
+        timer += 1
+        comp[s] = cid
+        stack = [s]
+        push = stack.append
+        pop = stack.pop
+        while stack:
+            v = stack[-1]
+            i = cursor[v]
+            end = indptr[v + 1]
+            low = lowpt[v]
+            while i < end:
+                u = nbr[i]
+                i += 1
+                nu = number[u]
+                if nu < 0:
+                    break
+                if nu < low:
+                    low = nu
+            else:
+                # v is finished; its subtree holds everything numbered since v.
+                pop()
+                if stack:
+                    p = stack[-1]
+                    if low >= number[p]:
+                        size = timer - number[v]
+                        cut_sum[p] += size
+                        if size > cut_max[p]:
+                            cut_max[p] = size
+                    elif low < lowpt[p]:
+                        lowpt[p] = low
+                continue
+            # Tree edge (v, u): suspend v, open u.
+            cursor[v] = i
+            lowpt[v] = low
+            number[u] = lowpt[u] = timer
+            timer += 1
+            comp[u] = cid
+            push(u)
+        sizes.append(timer - first)
+    return CcLabeling(comp, sizes), cut_sum, cut_max
+
+
+def compute_all_impacts(g: Graph) -> ImpactReport:
+    """Every vertex's impact, articulation flag and component, in O(n + m).
+
+    Removing v leaves the separated child subtrees of :func:`_separated_pieces`
+    and, unless v is a DFS root, the rest of its component; the impact is the
+    component size minus one minus the largest of those pieces.
+    """
+    cc, cut_sum, cut_max = _separated_pieces(g)
+    comp_id = cc.component_id
+    comp_size = cc.component_size
+    # With nothing cut off, the rest of the component stays whole: impact 0.
+    impacts = [0] * g.n
+    for v, cut in enumerate(cut_sum):
+        if cut:
+            others = comp_size[comp_id[v]] - 1
+            rest = others - cut
+            big = cut_max[v]
+            impacts[v] = others - (big if big > rest else rest)
+    flags = [x > 0 for x in impacts]
     return ImpactReport.from_columns(g.labels, impacts, flags, cc, g.m)
+
+
+def forest_impacts(g: Graph) -> tuple[list[int], CcLabeling]:
+    """Impacts and component labeling by the paper's block-forest method:
+    the second linear-time oracle for :func:`compute_all_impacts`."""
+    bf, cc = build_forest_and_labeling(g)
+    return impact_vector(bf, compute_sq_sizes(bf), cc), cc

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from blockimpact.cli import run
 
 from _helpers import PATH6_TEXT, bowtie
 
+SRC = Path(__file__).parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -221,6 +223,16 @@ class TestBench:
         assert code == 2
         assert "bad --sizes" in err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("--sizes", "8,0"), "sizes must be >= 1"), (("--repeats", "0"), "repeats must be >= 1")],
+    )
+    def test_nonpositive_sizes_and_repeats(self, capsys, args, message):
+        code, out, err = run_cli(capsys, "bench", *args)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
 
 class TestExitCodes:
     def test_unreadable_input(self, capsys):
@@ -243,6 +255,34 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    def test_program_error_is_not_bad_input(self, monkeypatch):
+        import blockimpact.cli as cli_mod
+
+        def broken(g):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli_mod, "compute_all_impacts", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run(["analyze", str(DATA / "path6.edges")])
+
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
+        # About 1 MB of rows, far more than a pipe buffers, so the writer is
+        # still writing when the reader goes away.
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1}\n" for i in range(50_000)))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blockimpact.cli", "analyze", "--all", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.readline().startswith(b"label\timpact\t")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
 
 
 class TestGolden:

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockimpact import (
     GeneratorSpec,
+    Graph,
     articulation_points,
     build_block_forest,
     compute_all_impacts,
@@ -19,6 +21,7 @@ from blockimpact import (
     rerooted_at,
     surviving_component_sizes,
 )
+from blockimpact.impact import forest_impacts
 
 from _helpers import all_graphs_up_to, bowtie, graph_from, path6, seeded_gnm_graphs
 
@@ -218,3 +221,108 @@ class TestOracleEquivalence:
             bf = build_block_forest(g)
             impacts = fast_impacts(g)
             assert {v for v in range(g.n) if impacts[v] >= 1} == articulation_points(bf)
+
+
+def long_cycle(n):
+    """One block holding all n vertices."""
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def cactus(cycles, seed):
+    """Edge-disjoint cycles of length 3..6, each hung on a random earlier vertex."""
+    rng = random.Random(seed)
+    n, edges = 1, []
+    for _ in range(cycles):
+        ring = [rng.randrange(n)] + list(range(n, n + rng.randint(2, 5)))
+        n += len(ring) - 1
+        edges += [(ring[i - 1], ring[i]) for i in range(len(ring))]
+    return Graph.from_edges(n, edges)
+
+
+def broom(handle, bristles):
+    """A path of ``handle`` vertices with a star of ``bristles`` leaves at its end."""
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(bristles)]
+    return Graph.from_edges(handle + bristles, edges)
+
+
+def star_of_cliques(count, k):
+    """``count`` k-cliques that share only vertex 0."""
+    edges = []
+    for c in range(count):
+        clique = [0] + list(range(1 + c * (k - 1), 1 + (c + 1) * (k - 1)))
+        edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    return Graph.from_edges(1 + count * (k - 1), edges)
+
+
+def isolated_and_small(pieces, seed):
+    """Isolated vertices mixed with single edges, triangles and short paths,
+    under a shuffled numbering so components interleave in vertex order."""
+    rng = random.Random(seed)
+    sizes = [rng.choice((1, 1, 1, 2, 3, 4)) for _ in range(pieces)]
+    n = sum(sizes)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, at = [], 0
+    for size in sizes:
+        vs = ids[at:at + size]
+        at += size
+        edges += [(vs[i], vs[i + 1]) for i in range(size - 1)]
+        if size == 3:
+            edges.append((vs[2], vs[0]))
+    return Graph.from_edges(n, edges)
+
+
+def assert_dfs_matches_forest(g):
+    report = compute_all_impacts(g)
+    impacts, cc = forest_impacts(g)
+    assert report.impact == impacts
+    assert report.component_id == cc.component_id
+    assert report.component_size == [cc.size_of(v) for v in range(g.n)]
+    assert report.is_articulation == [x > 0 for x in impacts]
+
+
+DFS_SHAPES = {
+    "long-cycle": long_cycle,
+    "cactus": lambda size: cactus(size // 4, seed=size),
+    "broom": lambda size: broom(size // 2, size - size // 2),
+    "star-of-cliques": lambda size: star_of_cliques(max(size // 4, 1), 5),
+    "isolated-and-small": lambda size: isolated_and_small(size // 2, seed=size),
+}
+
+
+class TestDfsAgainstForest:
+    @pytest.mark.parametrize("shape", DFS_SHAPES)
+    def test_small_shapes_match_oracle_and_forest(self, shape):
+        for size in (3, 8, 13):
+            g = DFS_SHAPES[shape](size)
+            assert_dfs_matches_forest(g)
+            assert compute_all_impacts(g).impact == naive_all_impacts(g).impact
+
+    @pytest.mark.parametrize("shape", DFS_SHAPES)
+    def test_large_shapes(self, shape):
+        assert_dfs_matches_forest(DFS_SHAPES[shape](60_000))
+
+    def test_closed_forms(self):
+        assert compute_all_impacts(long_cycle(1000)).impact == [0] * 1000
+        # Without the handle's end, the other 9 handle vertices are the
+        # largest piece and all 30 bristles are stranded.
+        assert compute_all_impacts(broom(10, 30)).impact[9] == 30
+        assert compute_all_impacts(star_of_cliques(7, 4)).impact[0] == 18
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("path", 1 << 19),
+            GeneratorSpec("star", 1 << 19),
+            GeneratorSpec("balanced-tree", 1 << 19, k=2),
+            GeneratorSpec("gnm", 349_525, m=699_050, seed=11),
+            GeneratorSpec("clique-chain", 1 + 7 * 29_959, k=8),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_every_family_near_2_20_elements(self, spec):
+        g = generate(spec)
+        assert 0.9 * (1 << 20) <= g.n + g.m <= 1.1 * (1 << 20)
+        assert_dfs_matches_forest(g)
