@@ -40,7 +40,6 @@ from .graph import (
 from .impact import (
     ImpactReport,
     SqSizes,
-    VertexImpact,
     compute_all_impacts,
     compute_impact,
     compute_sq_sizes,
@@ -68,7 +67,6 @@ __all__ = [
     "ParseError",
     "ParseResult",
     "SqSizes",
-    "VertexImpact",
     "articulation_points",
     "biconnected_components",
     "bridges",

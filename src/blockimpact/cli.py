@@ -11,10 +11,12 @@ and is not reported as bad input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import random
 import sys
+from itertools import compress
 from typing import TextIO
 
 from .bench import bench_graph, bench_row, format_rows
@@ -93,23 +95,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_graph(args: argparse.Namespace, err: TextIO) -> Graph:
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    """Parse the input straight off the open file (or stdin), line by line.
+
+    Input is UTF-8; a leading byte order mark is skipped.
+    """
     parse = parse_dimacs if args.format == "dimacs" else parse_edge_list
-    graph, dropped = parse(text)
+    try:
+        if args.input == "-":
+            stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+            try:
+                graph, dropped = parse(stdin)
+            finally:
+                stdin.detach()  # leave sys.stdin's buffer open
+        else:
+            with open(args.input, "r", encoding="utf-8-sig") as fh:
+                graph, dropped = parse(fh)
+    except UnicodeDecodeError:
+        name = "standard input" if args.input == "-" else args.input
+        raise ParseError(f"{name}: not UTF-8 text") from None
     if dropped and not args.quiet:
         print(f"note: dropped {dropped} self-loop/duplicate line(s)", file=err)
     return graph
-
-
-def _sorted_rows(report: ImpactReport, all_vertices: bool):
-    rows = sorted(report.rows(), key=lambda r: (-r.impact, r.label))
-    if not all_vertices:
-        rows = [r for r in rows if r.is_articulation]
-    return rows
 
 
 def _summary_pairs(report: ImpactReport) -> list[tuple[str, object]]:
@@ -124,34 +130,50 @@ def _summary_pairs(report: ImpactReport) -> list[tuple[str, object]]:
     return pairs
 
 
+def _report_order(report: ImpactReport, all_vertices: bool) -> list[int]:
+    """Vertex ids by decreasing impact, ties by label; only articulation
+    points unless ``all_vertices``. Two stable sorts over the columns."""
+    labels = report.labels
+    ids = range(report.n) if all_vertices else compress(range(report.n), report.is_articulation)
+    order = sorted(ids, key=labels.__getitem__)
+    order.sort(key=report.impact.__getitem__, reverse=True)
+    return order
+
+
 def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     report = compute_all_impacts(_load_graph(args, err))
-    rows = _sorted_rows(report, args.all_vertices)
+    order = _report_order(report, args.all_vertices)
+    labels = report.labels
+    impact = report.impact
+    flag = report.is_articulation
+    comp_id = report.component_id
+    comp_size = report.component_size
     if args.output == "tsv":
-        print("\t".join(TSV_COLUMNS), file=out)
-        for r in rows:
-            flag = "true" if r.is_articulation else "false"
-            print(
-                f"{r.label}\t{r.impact}\t{flag}\t{r.component_id}\t{r.component_size}",
-                file=out,
-            )
         summary = " ".join(f"{k}={v}" for k, v in _summary_pairs(report))
-        print(f"# {summary}", file=out)
+        out.write("".join([
+            "\t".join(TSV_COLUMNS) + "\n",
+            *[
+                f"{labels[v]}\t{impact[v]}\t{'true' if flag[v] else 'false'}"
+                f"\t{comp_id[v]}\t{comp_size[v]}\n"
+                for v in order
+            ],
+            f"# {summary}\n",
+        ]))
     else:
         data = {
             "summary": dict(_summary_pairs(report)),
             "vertices": [
                 {
-                    "label": r.label,
-                    "impact": r.impact,
-                    "is_articulation": r.is_articulation,
-                    "component_id": r.component_id,
-                    "component_size": r.component_size,
+                    "label": labels[v],
+                    "impact": impact[v],
+                    "is_articulation": flag[v],
+                    "component_id": comp_id[v],
+                    "component_size": comp_size[v],
                 }
-                for r in rows
+                for v in order
             ],
         }
-        print(json.dumps(data, indent=2), file=out)
+        out.write(json.dumps(data, indent=2) + "\n")
     return 0
 
 
@@ -248,7 +270,7 @@ def run(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ParseError, UnicodeDecodeError, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

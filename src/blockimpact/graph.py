@@ -8,9 +8,11 @@ the rest of the package iterates over.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
 
 GENERATOR_FAMILIES = ("gnm", "path", "star", "balanced-tree", "clique-chain")
@@ -55,51 +57,27 @@ class Graph:
         (the parsers) are expected to clean it first.
         """
         if isinstance(vertices, int):
-            n = vertices
-            labels = [str(i) for i in range(n)]
+            labels = [str(i) for i in range(vertices)]
         else:
             labels = list(vertices)
-            n = len(labels)
+        n = len(labels)
         label_ids = {lab: i for i, lab in enumerate(labels)}
         if len(label_ids) != n:
             raise ValueError("duplicate vertex labels")
 
         edge_list: list[tuple[int, int]] = []
-        seen: set[tuple[int, int]] = set()
-        deg = [0] * n
+        seen: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
+            key = (u << 32) | v if u < v else (v << 32) | u
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
             edge_list.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-        m = len(edge_list)
-
-        indptr = [0] * (n + 1)
-        total = 0
-        for i in range(n):
-            indptr[i] = total
-            total += deg[i]
-        indptr[n] = total
-        cursor = indptr[:n]
-        nbr = [0] * (2 * m)
-        eid = [0] * (2 * m)
-        for e, (u, v) in enumerate(edge_list):
-            cu = cursor[u]
-            nbr[cu] = v
-            eid[cu] = e
-            cursor[u] = cu + 1
-            cv = cursor[v]
-            nbr[cv] = u
-            eid[cv] = e
-            cursor[v] = cv + 1
-        return cls(n, m, indptr, nbr, eid, edge_list, labels, label_ids)
+        return _from_clean_edges(labels, label_ids, edge_list)
 
     def neighbors(self, v: int) -> list[tuple[int, int]]:
         """(neighbor id, edge id) pairs of ``v`` in adjacency order."""
@@ -131,13 +109,49 @@ class ParseResult(NamedTuple):
     dropped: int  # self-loop and duplicate-edge lines discarded
 
 
+# Largest vertex count a DIMACS ``p`` line may declare: the parser builds one
+# label per declared vertex, so the count is checked before any allocation.
+MAX_DIMACS_VERTICES = 2**26
+
+
+def _from_clean_edges(
+    labels: list[str], label_ids: dict[str, int], edges: list[tuple[int, int]]
+) -> Graph:
+    """The CSR graph over ``edges``, which must already be in range, free of
+    self-loops and distinct: the one CSR construction behind the parsers and
+    :meth:`Graph.from_edges`."""
+    n = len(labels)
+    m = len(edges)
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    indptr = [0, *accumulate(deg)]
+    cursor = indptr[:n]
+    nbr = [0] * (2 * m)
+    eid = [0] * (2 * m)
+    for e, (u, v) in enumerate(edges):
+        i = cursor[u]
+        nbr[i] = v
+        eid[i] = e
+        cursor[u] = i + 1
+        i = cursor[v]
+        nbr[i] = u
+        eid[i] = e
+        cursor[v] = i + 1
+    return Graph(n, m, indptr, nbr, eid, edges, labels, label_ids)
+
+
 def _numbered_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
-    lines = text.splitlines() if isinstance(text, str) else text
+    # A string is split the way a text file is read: lines end at \n, \r\n
+    # or \r only, so a string and a file holding it parse alike.
+    lines = io.StringIO(text, newline=None) if isinstance(text, str) else text
     return enumerate(lines, start=1)
 
 
 def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
-    """Parse whitespace-separated ``u v`` edge lines.
+    """Parse whitespace-separated ``u v`` edge lines from a string or any
+    iterable of lines, such as an open file.
 
     Blank lines and lines starting with ``#`` are ignored. A line whose first
     token is literally ``v`` declares the vertex named by its second token
@@ -145,75 +159,59 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
     non-whitespace tokens; internal ids follow first appearance. Self-loops
     and repeated edges (either orientation) are dropped and counted.
     """
-    labels: list[str] = []
-    ids: dict[str, int] = {}
-
-    def intern(token: str) -> int:
-        i = ids.get(token)
-        if i is None:
-            i = len(labels)
-            ids[token] = i
-            labels.append(token)
-        return i
-
+    ids: dict[str, int] = {}  # label -> id, in first-appearance order
+    intern = ids.setdefault
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    append = edges.append
+    seen: set[int] = set()  # (lo << 32) | hi of every kept edge
     dropped = 0
-    for lineno, raw in _numbered_lines(text):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _numbered_lines(text):
         parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
         if len(parts) != 2:
             raise ParseError(f"expected two tokens, got {len(parts)}", lineno)
-        if parts[0] == "v":
-            intern(parts[1])
+        a, b = parts
+        if a == "v":
+            intern(b, len(ids))
             continue
-        u = intern(parts[0])
-        w = intern(parts[1])
-        if u == w:
+        u = intern(a, len(ids))
+        w = intern(b, len(ids))
+        if u < w:
+            key = (u << 32) | w
+        elif w < u:
+            key = (w << 32) | u
+        else:
             dropped += 1
             continue
-        key = (u, w) if u < w else (w, u)
         if key in seen:
             dropped += 1
             continue
         seen.add(key)
-        edges.append((u, w))
-    return ParseResult(Graph.from_edges(labels, edges), dropped)
+        append((u, w))
+    return ParseResult(_from_clean_edges(list(ids), ids, edges), dropped)
 
 
 def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
-    """Parse the DIMACS ``p edge`` format (1-based ``e u v`` lines).
+    """Parse the DIMACS ``p edge`` format (1-based ``e u v`` lines) from a
+    string or any iterable of lines, such as an open file.
 
     The vertex count comes from the ``p`` line, so isolated vertices are
-    preserved. The declared edge count is advisory: after dropping self-loops
-    and duplicates the retained count wins.
+    preserved; a count above :data:`MAX_DIMACS_VERTICES` is rejected. The
+    declared edge count is advisory: after dropping self-loops and duplicates
+    the retained count wins.
     """
     n: int | None = None
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    append = edges.append
+    seen: set[int] = set()  # (lo << 32) | hi of every kept edge
     dropped = 0
-    for lineno, raw in _numbered_lines(text):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _numbered_lines(text):
         parts = line.split()
-        if parts[0] == "c":
+        if not parts:
             continue
-        if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate 'p' line", lineno)
-            if len(parts) != 4 or parts[1] != "edge":
-                raise ParseError("malformed 'p' line (expected 'p edge <n> <m>')", lineno)
-            try:
-                n = int(parts[2])
-                declared_m = int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer counts in 'p' line", lineno) from None
-            if n < 0 or declared_m < 0:
-                raise ParseError("negative counts in 'p' line", lineno)
-        elif parts[0] == "e":
+        kind = parts[0]
+        if kind == "e":
             if n is None:
                 raise ParseError("'e' line before 'p' line", lineno)
             if len(parts) != 3:
@@ -227,21 +225,43 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
                 raise ParseError(f"vertex id out of range 1..{n}", lineno)
             u -= 1
             w -= 1
-            if u == w:
+            if u < w:
+                key = (u << 32) | w
+            elif w < u:
+                key = (w << 32) | u
+            else:
                 dropped += 1
                 continue
-            key = (u, w) if u < w else (w, u)
             if key in seen:
                 dropped += 1
                 continue
             seen.add(key)
-            edges.append((u, w))
+            append((u, w))
+        elif kind == "c":
+            continue
+        elif kind == "p":
+            if n is not None:
+                raise ParseError("duplicate 'p' line", lineno)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError("malformed 'p' line (expected 'p edge <n> <m>')", lineno)
+            try:
+                n = int(parts[2])
+                declared_m = int(parts[3])
+            except ValueError:
+                raise ParseError("non-integer counts in 'p' line", lineno) from None
+            if n < 0 or declared_m < 0:
+                raise ParseError("negative counts in 'p' line", lineno)
+            if n > MAX_DIMACS_VERTICES:
+                raise ParseError(
+                    f"declared vertex count {n} exceeds the limit of {MAX_DIMACS_VERTICES}",
+                    lineno,
+                )
         else:
-            raise ParseError(f"unexpected line type {parts[0]!r}", lineno)
+            raise ParseError(f"unexpected line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing 'p' line")
-    labels = [str(i + 1) for i in range(n)]
-    return ParseResult(Graph.from_edges(labels, edges), dropped)
+    labels = [str(i) for i in range(1, n + 1)]
+    return ParseResult(_from_clean_edges(labels, dict(zip(labels, range(n))), edges), dropped)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -20,7 +20,6 @@ all read off the square counts of one subtree-size sweep. It stays here for
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .forest import BlockForest, build_forest_and_labeling
 from .graph import CcLabeling, Graph
@@ -139,15 +138,6 @@ def impact_vector(bf: BlockForest, sizes: SqSizes, cc: CcLabeling) -> list[int]:
 
 
 @dataclass(frozen=True, slots=True)
-class VertexImpact:
-    label: str
-    impact: int
-    is_articulation: bool
-    component_id: int
-    component_size: int
-
-
-@dataclass(frozen=True, slots=True)
 class ImpactReport:
     """Per-vertex impact records (column-oriented, indexed by internal vertex
     id) plus summary statistics."""
@@ -193,16 +183,6 @@ class ImpactReport:
             max_impact=max_impact,
             max_impact_label=max_label,
         )
-
-    def rows(self) -> Iterator[VertexImpact]:
-        for i in range(self.n):
-            yield VertexImpact(
-                self.labels[i],
-                self.impact[i],
-                self.is_articulation[i],
-                self.component_id[i],
-                self.component_size[i],
-            )
 
 
 def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:

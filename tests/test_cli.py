@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -8,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from blockimpact import build_block_forest, compute_sq_sizes, export_dot
+from blockimpact import (
+    build_block_forest,
+    compute_all_impacts,
+    compute_sq_sizes,
+    export_dot,
+    parse_edge_list,
+)
 from blockimpact.cli import run
 
 from _helpers import PATH6_TEXT, bowtie
@@ -44,7 +52,7 @@ class TestAnalyze:
         assert lines[1] == "# n=3 m=3 a=0 max_impact=0 max_impact_label=a"
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", __import__("io").StringIO(PATH6_TEXT))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(PATH6_TEXT.encode())))
         code, out, _ = run_cli(capsys, "analyze", "-", "--all")
         assert code == 0
         assert out == (GOLDEN / "path6.tsv").read_text()
@@ -92,6 +100,98 @@ class TestAnalyze:
         assert doc["summary"]["a"] == int(summary["a"])
         assert doc["summary"]["max_impact"] == int(summary["max_impact"])
         assert doc["summary"]["max_impact_label"] == summary["max_impact_label"]
+
+
+class TestInputEncoding:
+    DIMACS_TEXT = "c bowtie\np edge 5 6\ne 1 2\ne 1 3\ne 2 3\ne 3 4\ne 3 5\ne 4 5\n"
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "dimacs"])
+    def test_bom_and_crlf_read_like_plain_text(self, capsys, tmp_path, fmt):
+        text = (DATA / "bowtie.edges").read_text() if fmt == "edgelist" else self.DIMACS_TEXT
+        plain = tmp_path / "plain"
+        plain.write_bytes(text.encode())
+        marked = tmp_path / "marked"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        outputs = []
+        for path in (plain, marked):
+            for args in (("analyze", "--all"), ("analyze", "--all", "--output", "json"), ("dot",)):
+                code, out, err = run_cli(capsys, *args, str(path), "--format", fmt)
+                assert (code, err) == (0, "")
+                outputs.append(out)
+        assert outputs[:3] == outputs[3:]
+        if fmt == "edgelist":
+            assert outputs[0] == (GOLDEN / "bowtie.tsv").read_text()
+
+    def test_bom_on_stdin(self, capsys, monkeypatch):
+        data = b"\xef\xbb\xbf" + PATH6_TEXT.replace("\n", "\r\n").encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, _ = run_cli(capsys, "analyze", "--all")
+        assert code == 0
+        assert out == (GOLDEN / "path6.tsv").read_text()
+
+    def test_undecodable_file_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"a b\n" * 5000 + b"b \xe9t\xe9\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: not UTF-8 text\n"
+
+    def test_undecodable_stdin_is_bad_input(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"p edge 2 1\ne 1 \xff\n")))
+        code, _, err = run_cli(capsys, "analyze", "--format", "dimacs")
+        assert code == 2
+        assert err == "error: standard input: not UTF-8 text\n"
+
+    def test_huge_declared_vertex_count_exits_two(self, capsys, tmp_path, monkeypatch):
+        import blockimpact.graph as graph_mod
+
+        monkeypatch.setattr(graph_mod, "MAX_DIMACS_VERTICES", 100)
+        path = tmp_path / "huge.col"
+        path.write_text("p edge 101 1\ne 1 2\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--format", "dimacs")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 1: declared vertex count 101 exceeds the limit of 100")
+
+
+class TestReportOrder:
+    @staticmethod
+    def tied_graph_file(tmp_path) -> Path:
+        # Stars and paths under shuffled numeric labels: many equal impacts,
+        # and labels whose string order differs from their numeric order.
+        rng = random.Random(31)
+        names = [str(i) for i in range(300)]
+        rng.shuffle(names)
+        lines, i = [], 0
+        while i + 6 <= len(names):
+            a, b, c, d, e, f = names[i : i + 6]
+            lines += [f"{a} {b}", f"{a} {c}", f"{a} {d}", f"{d} {e}", f"{e} {f}"]
+            i += 6
+        lines += [f"v {x}" for x in names[i:]]
+        rng.shuffle(lines)
+        path = tmp_path / "tied.edges"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("all_vertices", [True, False])
+    def test_tsv_and_json_order(self, capsys, tmp_path, all_vertices):
+        path = self.tied_graph_file(tmp_path)
+        with open(path) as fh:
+            report = compute_all_impacts(parse_edge_list(fh).graph)
+        impact, labels = report.impact, report.labels
+        want = sorted(range(report.n), key=lambda i: (-impact[i], labels[i]))
+        if not all_vertices:
+            want = [i for i in want if report.is_articulation[i]]
+        assert len(set(impact[i] for i in want)) < len(want) // 10  # many ties
+        flags = ("--all",) if all_vertices else ()
+        _, tsv, _ = run_cli(capsys, "analyze", str(path), *flags)
+        _, doc, _ = run_cli(capsys, "analyze", str(path), *flags, "--output", "json")
+        tsv_rows = [ln.split("\t") for ln in tsv.splitlines()[1:-1]]
+        assert tsv_rows == [
+            [labels[i], str(impact[i]), "true" if impact[i] else "false",
+             str(report.component_id[i]), str(report.component_size[i])]
+            for i in want
+        ]
+        assert [v["label"] for v in json.loads(doc)["vertices"]] == [labels[i] for i in want]
 
 
 class TestCheck:

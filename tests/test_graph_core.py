@@ -1,5 +1,7 @@
+import io
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,8 @@ from blockimpact import (
     parse_dimacs,
     parse_edge_list,
 )
+
+import blockimpact.graph as graph_mod
 
 from _helpers import all_graphs_up_to
 
@@ -57,6 +61,15 @@ class TestParseEdgeList:
         assert f"line {line}" in str(exc.value)
 
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_lines_end_only_at_line_feed_or_carriage_return(self, sep):
+        text = f"a b{sep}c d\n"
+        for source in (text, io.TextIOWrapper(io.BytesIO(text.encode()))):
+            with pytest.raises(ParseError, match="got 4") as exc:
+                parse_edge_list(source)
+            assert exc.value.line == 1
+
+
 class TestParseDimacs:
     def test_small_path(self):
         g, dropped = parse_dimacs("c a comment\np edge 3 2\ne 1 2\ne 2 3")
@@ -94,6 +107,81 @@ class TestParseDimacs:
     def test_declared_count_loses_to_retained(self):
         g, dropped = parse_dimacs("p edge 3 5\ne 1 2\ne 2 1\ne 3 3")
         assert (g.m, dropped) == (1, 2)
+
+    def test_declared_vertex_count_above_limit(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "MAX_DIMACS_VERTICES", 8)
+        assert parse_dimacs("p edge 8 0").graph.n == 8
+        with pytest.raises(ParseError, match="exceeds the limit of 8") as exc:
+            parse_dimacs("c huge\np edge 9 0\ne 1 2")
+        assert exc.value.line == 2
+
+    def test_huge_declared_vertex_count_allocates_nothing(self):
+        # Rejected on the 'p' line, before one label is built.
+        with pytest.raises(ParseError) as exc:
+            parse_dimacs(f"p edge {10**15} 1\n")
+        assert exc.value.line == 1
+
+
+def _dirty_input(rng: random.Random, dimacs: bool) -> tuple[str, list[str], list[tuple[int, int]], int]:
+    """A random edge list or DIMACS text full of duplicates (both
+    orientations), self-loops, comments, blank lines and, for edge lists,
+    ``v`` lines; with the labels, the kept edges and the dropped count that
+    the parser must arrive at."""
+    n = rng.randint(1, 30)
+    names = [str(i + 1) for i in range(n)] if dimacs else [f"x{i}" for i in range(n)]
+    # Edge-list ids follow first appearance; DIMACS ids are fixed by the 'p' line.
+    ids = {lab: i for i, lab in enumerate(names)} if dimacs else {}
+    lines = [f"p edge {n} {rng.randint(0, 99)}"] if dimacs else []
+    kept: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
+    dropped = 0
+    for _ in range(rng.randint(0, 4 * n)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(["", "   ", "c note" if dimacs else "# note"]))
+            continue
+        if roll < 0.2 and not dimacs:
+            lab = rng.choice(names)
+            ids.setdefault(lab, len(ids))
+            lines.append(f"v {lab}")
+            continue
+        if roll < 0.3:
+            a = b = rng.choice(names)
+        elif roll < 0.5 and kept:
+            labels = list(ids)
+            u, w = rng.choice(kept)
+            a, b = labels[w], labels[u]  # a kept edge, reversed
+        else:
+            a, b = rng.choice(names), rng.choice(names)
+        sep = rng.choice([" ", "\t", "  "])
+        lines.append(f"e{sep}{a}{sep}{b}" if dimacs else f"{a}{sep}{b}")
+        u, w = ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids))
+        key = (min(u, w), max(u, w))
+        if u == w or key in seen:
+            dropped += 1
+        else:
+            seen.add(key)
+            kept.append((u, w))
+    # Any mix of line endings, with or without one after the last line.
+    ends = [rng.choice(["\n", "\r\n", "\r"]) for _ in lines[:-1]] + [rng.choice(["", "\n"])]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text, list(ids), kept, dropped
+
+
+class TestDirtyInput:
+    @pytest.mark.parametrize("dimacs", [False, True], ids=["edgelist", "dimacs"])
+    def test_parse_matches_from_edges_on_the_cleaned_edges(self, dimacs):
+        rng = random.Random(4242 + dimacs)
+        parse = parse_dimacs if dimacs else parse_edge_list
+        for _ in range(300):
+            text, labels, kept, dropped = _dirty_input(rng, dimacs)
+            want = Graph.from_edges(labels, kept)
+            for source in (text, io.TextIOWrapper(io.BytesIO(text.encode()))):
+                g, got_dropped = parse(source)
+                assert got_dropped == dropped
+                for field in fields(Graph):
+                    name = field.name
+                    assert getattr(g, name) == getattr(want, name), (name, text)
 
 
 class TestGraphInvariants:

@@ -153,11 +153,11 @@ class TestComputeAllImpacts:
                 else:
                     assert report.impact[v] == 0
 
-    def test_rows_view(self):
-        rows = list(compute_all_impacts(path6()).rows())
-        assert [r.label for r in rows] == ["a", "b", "c", "d", "e", "f"]
-        assert [r.impact for r in rows] == [0, 1, 2, 2, 1, 0]
-        assert rows[1].is_articulation and not rows[0].is_articulation
+    def test_report_columns(self):
+        report = compute_all_impacts(path6())
+        assert report.labels == ["a", "b", "c", "d", "e", "f"]
+        assert report.impact == [0, 1, 2, 2, 1, 0]
+        assert report.is_articulation[1] and not report.is_articulation[0]
 
 
 class TestDecompositionIdentity:
