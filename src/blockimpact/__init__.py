@@ -15,13 +15,10 @@ from .bench import BenchRow, sweep, time_all_impacts
 from .dot import export_dot
 from .forest import (
     BlockForest,
-    BlockForestBuilder,
-    DfsState,
     articulation_points,
     biconnected_components,
     bridges,
     build_block_forest,
-    dfs_visit,
     rerooted_at,
 )
 from .graph import (
@@ -57,9 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchRow",
     "BlockForest",
-    "BlockForestBuilder",
     "CcLabeling",
-    "DfsState",
     "GENERATOR_FAMILIES",
     "GeneratorSpec",
     "Graph",
@@ -75,7 +70,6 @@ __all__ = [
     "compute_impact",
     "compute_sq_sizes",
     "connected_components",
-    "dfs_visit",
     "export_dot",
     "format_edge_list",
     "generate",

@@ -36,6 +36,18 @@ from .oracle import naive_all_impacts
 
 TSV_COLUMNS = ("label", "impact", "is_articulation", "component_id", "component_size")
 
+# One vertex of the JSON report, byte for byte as json.dumps(..., indent=2)
+# lays it out inside the "vertices" list; the label goes in JSON-encoded.
+JSON_ROW = (
+    "    {\n"
+    '      "label": %s,\n'
+    '      "impact": %d,\n'
+    '      "is_articulation": %s,\n'
+    '      "component_id": %d,\n'
+    '      "component_size": %d\n'
+    "    }"
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -160,20 +172,17 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
             f"# {summary}\n",
         ]))
     else:
-        data = {
-            "summary": dict(_summary_pairs(report)),
-            "vertices": [
-                {
-                    "label": labels[v],
-                    "impact": impact[v],
-                    "is_articulation": flag[v],
-                    "component_id": comp_id[v],
-                    "component_size": comp_size[v],
-                }
-                for v in order
-            ],
-        }
-        out.write(json.dumps(data, indent=2) + "\n")
+        # The bytes json.dumps(data, indent=2) writes, without its
+        # pure-Python indenting encoder.
+        dumps = json.dumps
+        summary = ",\n".join(f"    {dumps(k)}: {dumps(v)}" for k, v in _summary_pairs(report))
+        rows = ",\n".join([
+            JSON_ROW % (dumps(labels[v]), impact[v], "true" if flag[v] else "false",
+                        comp_id[v], comp_size[v])
+            for v in order
+        ])
+        vertices = f"[\n{rows}\n  ]" if rows else "[]"
+        out.write(f'{{\n  "summary": {{\n{summary}\n  }},\n  "vertices": {vertices}\n}}\n')
     return 0
 
 

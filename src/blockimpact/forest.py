@@ -25,17 +25,17 @@ class DfsState:
     """Bookkeeping shared by the DFS over all components of one graph.
 
     ``number`` is the discovery index (-1 = unvisited), ``lowpt`` the classic
-    lowest reachable discovery index. ``edges`` holds (tail, head, edge id)
-    entries for visited edges not yet drained into a block; the frame_* lists
-    are the explicit recursion stack, with ``frame_epos`` remembering where
-    each frame's incoming tree edge sits in ``edges``. ``edge_examinations``
+    lowest reachable discovery index. ``edges`` holds (tail, head) pairs for
+    visited edges not yet drained into a block; the frame_* lists are the
+    explicit recursion stack, with ``frame_epos`` remembering where each
+    frame's incoming tree edge sits in ``edges``. ``edge_examinations``
     counts adjacency slots scanned, for the linear-work regression test.
     """
 
     timer: int
     number: list[int]
     lowpt: list[int]
-    edges: list[tuple[int, int, int]]
+    edges: list[tuple[int, int]]
     order: list[int] = field(default_factory=list)  # vertices in discovery order
     frame_vertex: list[int] = field(default_factory=list)
     frame_parent: list[int] = field(default_factory=list)
@@ -60,18 +60,17 @@ class BlockForestBuilder:
     """
 
     n_squares: int
+    edges: list[tuple[int, int]]  # the graph's edge table, by reference
     member_flat: list[int] = field(default_factory=list)
     member_start: list[int] = field(default_factory=list)
     parent: list[int] = field(default_factory=list)
     roots: list[int] = field(default_factory=list)
-    edge_round: list[int] = field(default_factory=list)
     last_round: list[int] = field(default_factory=list)
 
     @classmethod
     def fresh(cls, g: Graph) -> "BlockForestBuilder":
-        b = cls(n_squares=g.n)
+        b = cls(n_squares=g.n, edges=g.edges)
         b.parent = [-1] * g.n
-        b.edge_round = [-1] * g.m
         b.last_round = [-1] * g.n
         return b
 
@@ -94,7 +93,7 @@ class BlockForestBuilder:
             member_indptr=self.member_start,
             parent=self.parent,
             roots=self.roots,
-            edge_round=self.edge_round,
+            edges=self.edges,
             construction_ordered=True,
         )
 
@@ -105,10 +104,11 @@ class BlockForest:
 
     ``member_flat[member_indptr[r]:member_indptr[r+1]]`` lists round r's
     member squares in attachment order. ``parent`` covers all nodes (squares
-    then rounds), -1 at roots. ``edge_round`` maps every graph edge id to the
-    unique round node whose block contains it. ``construction_ordered`` is
-    true while round ids are still a children-before-parents order of the
-    trees (fresh builds); re-rooting clears it.
+    then rounds), -1 at roots. ``edges`` is the graph's edge table, held by
+    reference, from which :attr:`edge_round` is derived on first use.
+    ``construction_ordered`` is true while round ids are still a
+    children-before-parents order of the trees (fresh builds); re-rooting
+    clears it.
     """
 
     n_squares: int
@@ -116,10 +116,11 @@ class BlockForest:
     member_indptr: list[int]
     parent: list[int]
     roots: list[int]
-    edge_round: list[int]
+    edges: list[tuple[int, int]]
     construction_ordered: bool
     _square_indptr: list[int] | None = None
     _square_rounds: list[int] | None = None
+    _edge_round: list[int] | None = None
 
     @property
     def num_rounds(self) -> int:
@@ -160,6 +161,25 @@ class BlockForest:
                 cursor[v] += 1
         self._square_indptr = indptr
         self._square_rounds = out
+
+    @property
+    def edge_round(self) -> list[int]:
+        """Edge id -> the unique round node whose block contains the edge.
+
+        Edge (a, b) lies in a round node adjacent to both squares: their
+        shared parent, or a's parent when that round hangs below b, or else
+        b's parent. This holds under any rooting, so re-rooted copies share
+        the cached list.
+        """
+        if self._edge_round is None:
+            parent = self.parent
+            out = []
+            append = out.append
+            for a, b in self.edges:
+                pa = parent[a]
+                append(pa if parent[b] == pa or parent[pa] == b else parent[b])
+            self._edge_round = out
+        return self._edge_round
 
     def square_rounds(self, v: int) -> list[int]:
         """Absolute ids of the round nodes whose block contains vertex v."""
@@ -203,7 +223,6 @@ def dfs_visit(g: Graph, start: int, state: DfsState, builder: BlockForestBuilder
     """
     indptr = g.indptr
     nbr = g.nbr
-    eid = g.eid
     number = state.number
     lowpt = state.lowpt
     estack = state.edges
@@ -218,7 +237,6 @@ def dfs_visit(g: Graph, start: int, state: DfsState, builder: BlockForestBuilder
     member_append = member_flat.append
     member_start = builder.member_start
     parent = builder.parent
-    edge_round = builder.edge_round
     last_round = builder.last_round
 
     timer = state.timer
@@ -250,7 +268,7 @@ def dfs_visit(g: Graph, start: int, state: DfsState, builder: BlockForestBuilder
             nu = number[u]
             if nu < 0:
                 # Tree edge: push it, open the child's frame.
-                estack_append((v, u, eid[i]))
+                estack_append((v, u))
                 i += 1
                 fc[-1] = i
                 number[u] = timer
@@ -266,7 +284,7 @@ def dfs_visit(g: Graph, start: int, state: DfsState, builder: BlockForestBuilder
                 break
             if nu < nv:
                 # Back edge to an ancestor (the other direction is skipped).
-                estack_append((v, u, eid[i]))
+                estack_append((v, u))
                 if nu < lowpt[v]:
                     lowpt[v] = nu
             i += 1
@@ -292,8 +310,7 @@ def dfs_visit(g: Graph, start: int, state: DfsState, builder: BlockForestBuilder
             member_start.append(len(member_flat))
             parent.append(p)
             for idx in range(len(estack) - 1, epos, -1):
-                a, b, e = estack[idx]
-                edge_round[e] = round_node
+                a, b = estack[idx]
                 if last_round[a] != round_node:
                     last_round[a] = round_node
                     member_append(a)
@@ -302,8 +319,7 @@ def dfs_visit(g: Graph, start: int, state: DfsState, builder: BlockForestBuilder
                     last_round[b] = round_node
                     member_append(b)
                     parent[b] = round_node
-            edge_round[estack[epos][2]] = round_node  # the tree edge (p, v)
-            del estack[epos:]
+            del estack[epos:]  # the drained edges and the tree edge (p, v)
             if last_round[v] != round_node:
                 last_round[v] = round_node
                 member_append(v)
@@ -401,8 +417,9 @@ def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
         member_indptr=bf.member_indptr,
         parent=parent,
         roots=roots,
-        edge_round=bf.edge_round,
+        edges=bf.edges,
         construction_ordered=False,
         _square_indptr=bf._square_indptr,
         _square_rounds=bf._square_rounds,
+        _edge_round=bf._edge_round,
     )

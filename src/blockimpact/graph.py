@@ -28,22 +28,20 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable undirected simple graph.
+    """Immutable undirected simple graph: CSR adjacency plus the edge table.
 
-    The neighbors of vertex ``v`` are ``nbr[indptr[v]:indptr[v+1]]``, with the
-    parallel slice of ``eid`` giving the id of the connecting edge. Each edge
-    appears exactly twice (once per endpoint) under the same id; there are no
-    self-loops and no parallel edges.
+    The neighbors of vertex ``v`` are ``nbr[indptr[v]:indptr[v+1]]``; each
+    edge appears there exactly twice, once per endpoint. ``edges[e]`` is edge
+    ``e`` as first recorded, and edge ids index it alone: the adjacency does
+    not carry them. There are no self-loops and no parallel edges.
     """
 
     n: int
     m: int
     indptr: list[int]
     nbr: list[int]
-    eid: list[int]
     edges: list[tuple[int, int]]  # edge id -> (u, v) as first recorded
     labels: list[str]  # internal id -> original label
-    label_ids: dict[str, int]  # original label -> internal id
 
     @classmethod
     def from_edges(
@@ -52,18 +50,20 @@ class Graph:
         """Build a graph from an edge list over 0-based vertex ids.
 
         ``vertices`` is either a vertex count (labels default to the decimal
-        ids) or the full list of labels. Raises ValueError on out-of-range
-        ids, self-loops, or repeated edges: callers that accept dirty input
-        (the parsers) are expected to clean it first.
+        ids) or the full list of labels. Raises ValueError on a negative
+        count, repeated labels, out-of-range ids, self-loops, or repeated
+        edges: callers that accept dirty input (the parsers) are expected to
+        clean it first.
         """
         if isinstance(vertices, int):
+            if vertices < 0:
+                raise ValueError("vertex count must be >= 0")
             labels = [str(i) for i in range(vertices)]
         else:
             labels = list(vertices)
+            if len(set(labels)) != len(labels):
+                raise ValueError("duplicate vertex labels")
         n = len(labels)
-        label_ids = {lab: i for i, lab in enumerate(labels)}
-        if len(label_ids) != n:
-            raise ValueError("duplicate vertex labels")
 
         edge_list: list[tuple[int, int]] = []
         seen: set[int] = set()
@@ -77,12 +77,7 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
             edge_list.append((u, v))
-        return _from_clean_edges(labels, label_ids, edge_list)
-
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """(neighbor id, edge id) pairs of ``v`` in adjacency order."""
-        lo, hi = self.indptr[v], self.indptr[v + 1]
-        return list(zip(self.nbr[lo:hi], self.eid[lo:hi]))
+        return _from_clean_edges(labels, edge_list)
 
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
@@ -114,32 +109,26 @@ class ParseResult(NamedTuple):
 MAX_DIMACS_VERTICES = 2**26
 
 
-def _from_clean_edges(
-    labels: list[str], label_ids: dict[str, int], edges: list[tuple[int, int]]
-) -> Graph:
+def _from_clean_edges(labels: list[str], edges: list[tuple[int, int]]) -> Graph:
     """The CSR graph over ``edges``, which must already be in range, free of
     self-loops and distinct: the one CSR construction behind the parsers and
     :meth:`Graph.from_edges`."""
     n = len(labels)
-    m = len(edges)
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
     indptr = [0, *accumulate(deg)]
     cursor = indptr[:n]
-    nbr = [0] * (2 * m)
-    eid = [0] * (2 * m)
-    for e, (u, v) in enumerate(edges):
+    nbr = [0] * indptr[n]
+    for u, v in edges:
         i = cursor[u]
         nbr[i] = v
-        eid[i] = e
         cursor[u] = i + 1
         i = cursor[v]
         nbr[i] = u
-        eid[i] = e
         cursor[v] = i + 1
-    return Graph(n, m, indptr, nbr, eid, edges, labels, label_ids)
+    return Graph(n, len(edges), indptr, nbr, edges, labels)
 
 
 def _numbered_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -189,7 +178,7 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
             continue
         seen.add(key)
         append((u, w))
-    return ParseResult(_from_clean_edges(list(ids), ids, edges), dropped)
+    return ParseResult(_from_clean_edges(list(ids), edges), dropped)
 
 
 def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
@@ -261,7 +250,7 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
     if n is None:
         raise ParseError("missing 'p' line")
     labels = [str(i) for i in range(1, n + 1)]
-    return ParseResult(_from_clean_edges(labels, dict(zip(labels, range(n))), edges), dropped)
+    return ParseResult(_from_clean_edges(labels, edges), dropped)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -270,23 +259,26 @@ def format_edge_list(g: Graph) -> str:
     Isolated vertices come out as ``v <label>`` declarations. A label that
     would be misread in first position (``v``, or anything starting with
     ``#``) is placed second; such a label can never occur on both endpoints
-    of a parsed edge, so parse -> format -> parse round-trips.
+    of a parsed edge, so parse -> format -> parse round-trips. Raises
+    ValueError on a label that no line can carry (empty, or holding
+    whitespace) and on an edge between two second-only labels.
     """
-
-    def clean(label: str) -> bool:
-        return label != "v" and not label.startswith("#")
-
-    out: list[str] = []
-    for i, lab in enumerate(g.labels):
-        if g.degree(i) == 0:
-            out.append(f"v {lab}")
+    labels = g.labels
+    # One C-level pass: the split gives back exactly the labels iff every
+    # label is one non-empty, whitespace-free token.
+    if " ".join(labels).split() != labels:
+        bad = next(lab for lab in labels if lab.split() != [lab])
+        raise ValueError(f"label {bad!r} is not serializable")
+    second = {i for i, lab in enumerate(labels) if lab == "v" or lab[0] == "#"}
+    indptr = g.indptr
+    out = [f"v {lab}" for lab, lo, hi in zip(labels, indptr, indptr[1:]) if lo == hi]
+    append = out.append
     for u, w in g.edges:
-        lu, lw = g.labels[u], g.labels[w]
-        if not clean(lu):
-            lu, lw = lw, lu
-        if not clean(lu):
-            raise ValueError(f"edge {g.labels[u]!r} -- {g.labels[w]!r} is not serializable")
-        out.append(f"{lu} {lw}")
+        if u in second:
+            if w in second:
+                raise ValueError(f"edge {labels[u]!r} -- {labels[w]!r} is not serializable")
+            u, w = w, u
+        append(f"{labels[u]} {labels[w]}")
     return "\n".join(out) + ("\n" if out else "")
 
 

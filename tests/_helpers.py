@@ -61,8 +61,14 @@ def seeded_gnm_graphs(count: int, n_max: int, rng) -> list[Graph]:
     return out
 
 
+def vertex(g: Graph, label: str) -> int:
+    """Internal id of the vertex labeled ``label``."""
+    return g.labels.index(label)
+
+
 def components_without_edge(g: Graph, skip_edge: int) -> int:
     """Component count of g with one edge deleted (independent BFS)."""
+    a, b = g.edges[skip_edge]  # a simple graph: the endpoints name the edge
     seen = bytearray(g.n)
     count = 0
     for s in range(g.n):
@@ -75,11 +81,9 @@ def components_without_edge(g: Graph, skip_edge: int) -> int:
         while head < len(queue):
             x = queue[head]
             head += 1
-            lo, hi = g.indptr[x], g.indptr[x + 1]
-            for idx in range(lo, hi):
-                if g.eid[idx] == skip_edge:
+            for y in g.nbr[g.indptr[x]:g.indptr[x + 1]]:
+                if (x == a and y == b) or (x == b and y == a):
                     continue
-                y = g.nbr[idx]
                 if not seen[y]:
                     seen[y] = 1
                     queue.append(y)

@@ -5,20 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockimpact import (
-    BlockForestBuilder,
-    DfsState,
     GeneratorSpec,
     articulation_points,
     biconnected_components,
     bridges,
     build_block_forest,
     connected_components,
-    dfs_visit,
     generate,
     naive_articulation_points,
     rerooted_at,
 )
-from blockimpact.forest import build_forest_and_labeling
+from blockimpact.forest import BlockForestBuilder, DfsState, build_forest_and_labeling, dfs_visit
 
 from _helpers import (
     all_graphs_up_to,
@@ -28,6 +25,7 @@ from _helpers import (
     graph_from,
     pendant_triangle,
     seeded_gnm_graphs,
+    vertex,
 )
 
 
@@ -53,14 +51,14 @@ class TestBuildExamples:
         g = bowtie()
         bf = build_block_forest(g)
         assert sorted(members_by_label(g, bf)) == [["a", "b", "c"], ["c", "d", "e"]]
-        c = g.label_ids["c"]
+        c = vertex(g, "c")
         assert bf.degree(c) == 2
         assert all(bf.degree(v) == 1 for v in range(g.n) if v != c)
 
     def test_isolated_vertex_is_singleton_square_tree(self):
         g = graph_from("v alone\na b")
         bf = build_block_forest(g)
-        alone = g.label_ids["alone"]
+        alone = vertex(g, "alone")
         assert alone in bf.roots
         assert bf.num_rounds == 1
         check_block_forest(g, bf)
@@ -87,7 +85,7 @@ class TestDfsVisit:
         builder.finish_component(0)
         bf = builder.build()
         assert sorted(members_by_label(g, bf)) == [["a", "b"], ["b", "c"]]
-        assert bf.degree(g.label_ids["b"]) == 2
+        assert bf.degree(vertex(g, "b")) == 2
 
     @pytest.mark.parametrize("start", range(4))
     def test_k4_single_block_from_any_start(self, start):
@@ -102,8 +100,8 @@ class TestDfsVisit:
         # With adjacency in input order, the far triangle closes first (at c),
         # then the block containing the start vertex.
         g = bowtie()
-        state, builder = self.run_single(g, g.label_ids["a"])
-        builder.finish_component(g.label_ids["a"])
+        state, builder = self.run_single(g, vertex(g, "a"))
+        builder.finish_component(vertex(g, "a"))
         bf = builder.build()
         assert members_by_label(g, bf) == [["c", "d", "e"], ["a", "b", "c"]]
 
@@ -118,8 +116,8 @@ class TestDfsVisit:
     def test_visits_only_the_start_component(self):
         g = graph_from("a b\nc d")
         state, builder = self.run_single(g, 0)
-        assert state.number[g.label_ids["c"]] == -1
-        assert state.number[g.label_ids["d"]] == -1
+        assert state.number[vertex(g, "c")] == -1
+        assert state.number[vertex(g, "d")] == -1
 
     def test_edge_examinations_exactly_touch_each_slot_once(self):
         for spec in (
@@ -143,7 +141,7 @@ class TestDfsVisit:
 class TestArticulationPoints:
     def test_path_inner_vertex(self):
         g = graph_from("a b\nb c")
-        assert articulation_points(build_block_forest(g)) == {g.label_ids["b"]}
+        assert articulation_points(build_block_forest(g)) == {vertex(g, "b")}
 
     def test_triangle_none(self):
         g = graph_from("a b\nb c\nc a")
@@ -153,8 +151,8 @@ class TestArticulationPoints:
         # x hangs off triangle vertex a by a bridge: a cuts, x does not.
         g = pendant_triangle()
         aps = articulation_points(build_block_forest(g))
-        assert aps == {g.label_ids["a"]}
-        assert g.label_ids["x"] not in aps
+        assert aps == {vertex(g, "a")}
+        assert vertex(g, "x") not in aps
 
 
 class TestBiconnectedComponents:
@@ -185,7 +183,7 @@ class TestBridges:
     def test_pendant_only(self):
         g = pendant_triangle()
         found = bridges(g, build_block_forest(g))
-        assert [g.edges[e] for e in found] == [(g.label_ids["a"], g.label_ids["x"])]
+        assert [g.edges[e] for e in found] == [(vertex(g, "a"), vertex(g, "x"))]
         # agreement with the edge-removal definition
         base = connected_components(g).count
         for e in range(g.m):
@@ -241,6 +239,28 @@ class TestRerooting:
                 assert bf2.parent[g.n + r] == -1
                 assert len(bf2.roots) == len(bf.roots)
                 check_block_forest(g, bf2)
+
+    def test_derived_edge_round_under_every_rooting(self):
+        # Each edge's round, derived from the parent pointers of each
+        # rooting, holds both endpoints and is the only round that does.
+        rng = random.Random(6021)
+        for g in seeded_gnm_graphs(40, 20, rng):
+            bf = build_block_forest(g)
+            forests = [bf] + [rerooted_at(bf, g.n + r) for r in range(bf.num_rounds)]
+            for rooted in forests:
+                assert len(rooted.edge_round) == g.m
+                for e, (u, w) in enumerate(g.edges):
+                    node = rooted.edge_round[e]
+                    both = [
+                        rn for rn in rooted.square_rounds(u)
+                        if w in rooted.round_members(rn - g.n)
+                    ]
+                    assert both == [node]
+            # A copy re-rooted after the first use shares the list.
+            assert all(
+                rerooted_at(bf, g.n + r).edge_round is bf.edge_round
+                for r in range(bf.num_rounds)
+            )
 
     def test_reroot_at_current_root_is_identity(self):
         g = bowtie()

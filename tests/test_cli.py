@@ -193,6 +193,46 @@ class TestReportOrder:
         ]
         assert [v["label"] for v in json.loads(doc)["vertices"]] == [labels[i] for i in want]
 
+    # Labels json.dumps must escape: quote, backslash, non-ASCII (one outside
+    # the BMP, written as a surrogate pair) and control characters.
+    AWKWARD_LABELS = ['q"t', "b\\s", "\u00e9t\u00e9", "\u65e5\u672c", "\U0001f600", "c\x01", "\x7f", "\\\""]
+
+    @pytest.mark.parametrize("all_vertices", [True, False])
+    @pytest.mark.parametrize("shape", ["path", "triangle"])
+    def test_json_bytes_equal_json_dumps(self, capsys, tmp_path, all_vertices, shape):
+        labels = self.AWKWARD_LABELS if shape == "path" else self.AWKWARD_LABELS[:3]
+        pairs = list(zip(labels, labels[1:]))
+        if shape == "triangle":
+            pairs.append((labels[2], labels[0]))
+        path = tmp_path / "awkward.edges"
+        path.write_text("".join(f"{a} {b}\n" for a, b in pairs), encoding="utf-8")
+        report = compute_all_impacts(parse_edge_list(path.read_text(encoding="utf-8")).graph)
+        assert report.labels == labels
+        order = sorted(range(report.n), key=lambda i: (-report.impact[i], report.labels[i]))
+        if not all_vertices:
+            order = [i for i in order if report.is_articulation[i]]
+        summary = {"n": report.n, "m": report.m, "a": report.articulation_count,
+                   "max_impact": report.max_impact}
+        if report.max_impact_label is not None:
+            summary["max_impact_label"] = report.max_impact_label
+        data = {
+            "summary": summary,
+            "vertices": [
+                {
+                    "label": report.labels[i],
+                    "impact": report.impact[i],
+                    "is_articulation": report.is_articulation[i],
+                    "component_id": report.component_id[i],
+                    "component_size": report.component_size[i],
+                }
+                for i in order
+            ],
+        }
+        flags = ("--all",) if all_vertices else ()
+        code, doc, _ = run_cli(capsys, "analyze", str(path), *flags, "--output", "json")
+        assert code == 0
+        assert doc == json.dumps(data, indent=2) + "\n"
+
 
 class TestCheck:
     def test_ok_on_fixture(self, capsys):

@@ -21,7 +21,7 @@ from blockimpact import (
 
 import blockimpact.graph as graph_mod
 
-from _helpers import all_graphs_up_to
+from _helpers import all_graphs_up_to, vertex
 
 
 class TestParseEdgeList:
@@ -41,8 +41,8 @@ class TestParseEdgeList:
     def test_comments_blanks_and_vertex_declarations(self):
         g, dropped = parse_edge_list("# header\n\nv lonely\na b\n   \n# tail\n")
         assert (g.n, g.m, dropped) == (3, 1, 0)
-        assert g.label_ids["lonely"] == 0
-        assert g.degree(g.label_ids["lonely"]) == 0
+        assert vertex(g, "lonely") == 0
+        assert g.degree(vertex(g, "lonely")) == 0
 
     def test_empty_input_is_empty_graph(self):
         g, dropped = parse_edge_list("")
@@ -51,7 +51,6 @@ class TestParseEdgeList:
     def test_labels_follow_first_appearance(self):
         g, _ = parse_edge_list("x y\ny z")
         assert g.labels == ["x", "y", "z"]
-        assert g.label_ids == {"x": 0, "y": 1, "z": 2}
 
     @pytest.mark.parametrize("text,line", [("a b c", 1), ("a b\nq", 2), ("a b\n\nx y z", 3)])
     def test_wrong_token_count_reports_line(self, text, line):
@@ -195,16 +194,20 @@ class TestGraphInvariants:
         with pytest.raises(ValueError, match="duplicate vertex labels"):
             Graph.from_edges(["a", "a"], [])
 
-    def test_each_edge_twice_with_same_id(self):
+    def test_from_edges_rejects_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            Graph.from_edges(-3, [])
+        assert Graph.from_edges(0, []).n == 0
+
+    def test_each_edge_in_both_adjacencies(self):
         g, _ = parse_edge_list("a b\nb c\nc a\nc d")
         assert len(g.nbr) == 2 * g.m
-        for v in range(g.n):
-            for u, e in g.neighbors(v):
-                assert g.edges[e] in ((v, u), (u, v))
+        slots = sorted((v, u) for v in range(g.n) for u in g.nbr[g.indptr[v]:g.indptr[v + 1]])
+        assert slots == sorted([*g.edges, *((w, u) for u, w in g.edges)])
 
-    def test_neighbors_accessor(self):
+    def test_adjacency_slice_in_edge_order(self):
         g, _ = parse_edge_list("a b\na c")
-        assert g.neighbors(0) == [(1, 0), (2, 1)]
+        assert g.nbr[g.indptr[0]:g.indptr[1]] == [1, 2]
         assert g.degree(0) == 2
 
 
@@ -239,6 +242,23 @@ class TestRoundTrip:
         assert sorted(to_pair(g, u, w) for u, w in g.edges) == sorted(
             to_pair(g2, u, w) for u, w in g2.edges
         )
+
+    @pytest.mark.parametrize(
+        "labels",
+        [["a b", "c", ""], ["a", "b\tc", "d"], ["a", "", "d"], ["a", "b", "c\n"], ["a", " ", "d"]],
+    )
+    def test_unserializable_label_raises(self, labels):
+        g = Graph.from_edges(labels, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="not serializable"):
+            format_edge_list(g)
+        isolated = Graph.from_edges(labels, [])  # 'v <label>' lines too
+        with pytest.raises(ValueError, match="not serializable"):
+            format_edge_list(isolated)
+
+    def test_edge_between_second_only_labels_raises(self):
+        g = Graph.from_edges(["v", "#x", "y"], [(1, 2), (0, 1)])
+        with pytest.raises(ValueError, match="'v' -- '#x' is not serializable"):
+            format_edge_list(g)
 
     def test_round_trip_keeps_awkward_labels(self):
         g, _ = parse_edge_list("x v\nx #y\nv #z")

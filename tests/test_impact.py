@@ -23,7 +23,7 @@ from blockimpact import (
 )
 from blockimpact.impact import forest_impacts
 
-from _helpers import all_graphs_up_to, bowtie, graph_from, path6, seeded_gnm_graphs
+from _helpers import all_graphs_up_to, bowtie, graph_from, path6, seeded_gnm_graphs, vertex
 
 
 def fast_impacts(g):
@@ -86,7 +86,7 @@ class TestSqSizes:
 class TestComputeImpact:
     def test_path5_center(self):
         g = graph_from("a b\nb c\nc d\nd e")
-        assert fast_impacts(g)[g.label_ids["c"]] == 2
+        assert fast_impacts(g)[vertex(g, "c")] == 2
 
     def test_star_center(self):
         g = generate(GeneratorSpec("star", 5))
@@ -94,7 +94,7 @@ class TestComputeImpact:
 
     def test_bowtie_center_matches_oracle(self):
         g = bowtie()
-        c = g.label_ids["c"]
+        c = vertex(g, "c")
         assert naive_impact(g, c) == 2
         assert fast_impacts(g)[c] == 2
 
@@ -326,3 +326,31 @@ class TestDfsAgainstForest:
         g = generate(spec)
         assert 0.9 * (1 << 20) <= g.n + g.m <= 1.1 * (1 << 20)
         assert_dfs_matches_forest(g)
+
+
+class TestSampledOracleAtScale:
+    """The removal oracle on a seeded sample of vertices of graphs far past
+    the reach of a full O(n(n + m)) sweep."""
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("gnm", 40_000, m=60_000, seed=23),
+            GeneratorSpec("clique-chain", 1 + 4 * 7_143, k=5),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_naive_impact_on_sampled_vertices(self, spec):
+        g = generate(spec)
+        assert 0.9e5 <= g.n + g.m <= 1.1e5
+        report = compute_all_impacts(g)
+        rng = random.Random(2024)
+        cut = [v for v in range(g.n) if report.is_articulation[v]]
+        rest = [v for v in range(g.n) if not report.is_articulation[v]]
+        sample = rng.sample(cut, 50) + rng.sample(rest, 50)
+        for v in sample:
+            pieces = surviving_component_sizes(g, v)
+            assert report.impact[v] == sum(pieces) - max(pieces, default=0), v
+            assert report.is_articulation[v] == (len(pieces) >= 2), v
+            assert report.component_size[v] == sum(pieces) + 1, v

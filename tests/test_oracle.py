@@ -10,7 +10,7 @@ from blockimpact import (
     surviving_component_sizes,
 )
 
-from _helpers import bowtie, graph_from, path6, pendant_triangle, seeded_gnm_graphs
+from _helpers import bowtie, graph_from, path6, pendant_triangle, seeded_gnm_graphs, vertex
 
 
 class TestSurvivingPieces:
@@ -20,7 +20,7 @@ class TestSurvivingPieces:
 
     def test_isolated_vertex(self):
         g = graph_from("v x\na b")
-        assert surviving_component_sizes(g, g.label_ids["x"]) == []
+        assert surviving_component_sizes(g, vertex(g, "x")) == []
 
     def test_leaf(self):
         g = graph_from("a b\nb c")
@@ -30,7 +30,7 @@ class TestSurvivingPieces:
 class TestNaiveImpact:
     def test_path_center(self):
         g = graph_from("a b\nb c")
-        assert naive_impact(g, g.label_ids["b"]) == 1
+        assert naive_impact(g, vertex(g, "b")) == 1
 
     def test_triangle(self):
         g = graph_from("a b\nb c\nc a")
@@ -57,8 +57,8 @@ class TestNaiveArticulationPoints:
     def test_pendant_rule(self):
         g = pendant_triangle()
         aps = naive_articulation_points(g)
-        assert aps == {g.label_ids["a"]}
-        assert g.label_ids["x"] not in aps
+        assert aps == {vertex(g, "a")}
+        assert vertex(g, "x") not in aps
 
     def test_consistent_with_impact(self):
         rng = random.Random(61)
