@@ -38,7 +38,6 @@ from .impact import (
     ImpactReport,
     SqSizes,
     compute_all_impacts,
-    compute_impact,
     compute_sq_sizes,
     impact_vector,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "bridges",
     "build_block_forest",
     "compute_all_impacts",
-    "compute_impact",
     "compute_sq_sizes",
     "connected_components",
     "export_dot",

@@ -12,9 +12,11 @@ piece. No block forest is built on this path.
 
 The paper's method gets the same pieces from the rooted block forest: one per
 child block of v's square node, plus the piece "above" v through its parent,
-all read off the square counts of one subtree-size sweep. It stays here for
-``dot`` (:func:`compute_sq_sizes`) and as a second linear-time oracle,
-:func:`forest_impacts`, that the tests hold the DFS path against.
+all read off the square counts of one subtree-size sweep,
+:func:`compute_sq_sizes`, which holds under any rooting of the forest. It
+stays here for ``dot`` and as a second linear-time oracle,
+:func:`forest_impacts` (sizes, then :func:`impact_vector`), that the tests
+hold the DFS path against.
 """
 
 from __future__ import annotations
@@ -34,85 +36,39 @@ class SqSizes:
 
 
 def compute_sq_sizes(bf: BlockForest) -> SqSizes:
-    """Bottom-up square counts for every node, under ``bf``'s rooting.
+    """Bottom-up square counts for every node, under any rooting of ``bf``.
 
-    Fresh forests are accumulated directly in round-creation order, which is
-    already a children-before-parents order of the trees; re-rooted forests
-    get an explicit-stack traversal instead.
+    One leaves-up pass over ``parent`` alone: count each node's children,
+    start from the nodes that have none, and fold each node into its parent;
+    a parent joins the pass once its last child has been folded in, so its
+    count is complete before it is read.
     """
-    if bf.construction_ordered:
-        return SqSizes(_sizes_from_construction_order(bf))
-    return SqSizes(_sizes_by_traversal(bf))
-
-
-def _sizes_from_construction_order(bf: BlockForest) -> list[int]:
     n = bf.n_squares
+    parent = bf.parent
+    # Children not yet folded in, per node; roots count into the extra slot.
+    pending = [0] * (len(parent) + 1)
+    for p in parent:
+        pending[p] += 1
     sq = [1] * n + [0] * bf.num_rounds
-    flat = bf.member_flat
-    start = bf.member_indptr
-    parent = bf.parent
-    for r in range(bf.num_rounds):
-        node = n + r
-        p = parent[node]  # pop vertex; -1 only at tree roots
-        total = 0
-        for i in range(start[r], start[r + 1]):
-            x = flat[i]
-            if x != p:
-                total += sq[x]
-        sq[node] = total
-        if p >= 0:
-            sq[p] += total
-    return sq
-
-
-def _sizes_by_traversal(bf: BlockForest) -> list[int]:
-    # Preorder via explicit stack, then accumulate in reverse: every child is
-    # folded into its parent only after its own subtree is complete.
-    n = bf.n_squares
-    parent = bf.parent
-    sq = [0] * bf.num_nodes
-    order: list[int] = []
-    for root in bf.roots:
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            px = parent[x]
-            for y in bf.neighbors(x):
-                if y != px:
-                    stack.append(y)
-    for x in reversed(order):
-        if x < n:
-            sq[x] += 1
+    ready = [x for x in range(len(parent)) if not pending[x]]
+    for x in ready:  # grows while it is read
         p = parent[x]
         if p >= 0:
             sq[p] += sq[x]
-    return sq
-
-
-def compute_impact(bf: BlockForest, sizes: SqSizes, cc: CcLabeling, v: int) -> int:
-    """Impact of one vertex (any square, articulation point or not).
-
-    The surviving pieces after deleting v are: for each child block of v, the
-    squares of that block's subtree; plus everything in v's component that is
-    not in v's subtree. The impact is the component size minus the largest
-    piece minus one.
-    """
-    comp = cc.component_size[cc.component_id[v]]
-    sq = sizes.values
-    best = comp - sq[v]
-    parent = bf.parent
-    for node in bf.square_rounds(v):
-        if parent[node] == v and sq[node] > best:
-            best = sq[node]
-    return comp - best - 1
+            pending[p] -= 1
+            if not pending[p]:
+                ready.append(p)
+    return SqSizes(sq)
 
 
 def impact_vector(bf: BlockForest, sizes: SqSizes, cc: CcLabeling) -> list[int]:
     """Impacts of all vertices in one pass over the round nodes.
 
-    Same arithmetic as :func:`compute_impact`; grouping rounds by their
-    parent square avoids materializing per-square adjacency.
+    Deleting v leaves one piece per child block of v's square, the squares
+    of that block's subtree, plus everything in v's component outside v's
+    subtree; the impact is the component size minus the largest piece minus
+    one. Grouping rounds by their parent square avoids materializing
+    per-square adjacency.
     """
     n = bf.n_squares
     sq = sizes.values

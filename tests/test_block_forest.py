@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from blockimpact import (
     GeneratorSpec,
+    Graph,
     articulation_points,
     biconnected_components,
     bridges,
@@ -15,7 +16,7 @@ from blockimpact import (
     naive_articulation_points,
     rerooted_at,
 )
-from blockimpact.forest import BlockForestBuilder, DfsState, build_forest_and_labeling, dfs_visit
+from blockimpact.forest import build_forest_and_labeling
 
 from _helpers import (
     all_graphs_up_to,
@@ -73,26 +74,20 @@ class TestBuildExamples:
 
 
 class TestDfsVisit:
-    def run_single(self, g, start):
-        state = DfsState.fresh(g.n)
-        builder = BlockForestBuilder.fresh(g)
-        dfs_visit(g, start, state, builder)
-        return state, builder
+    """The build's DFS, which starts each component at its smallest id."""
 
     def test_path_from_one_end(self):
         g = graph_from("a b\nb c")
-        state, builder = self.run_single(g, 0)
-        builder.finish_component(0)
-        bf = builder.build()
+        bf = build_block_forest(g)
         assert sorted(members_by_label(g, bf)) == [["a", "b"], ["b", "c"]]
         assert bf.degree(vertex(g, "b")) == 2
 
     @pytest.mark.parametrize("start", range(4))
     def test_k4_single_block_from_any_start(self, start):
-        g = graph_from("1 2\n1 3\n1 4\n2 3\n2 4\n3 4")
-        state, builder = self.run_single(g, start)
-        builder.finish_component(start)
-        bf = builder.build()
+        # Relabel so that vertex `start` of the K4 becomes vertex 0.
+        k4 = graph_from("1 2\n1 3\n1 4\n2 3\n2 4\n3 4")
+        g = Graph.from_edges(4, [((a - start) % 4, (b - start) % 4) for a, b in k4.edges])
+        bf = build_block_forest(g)
         assert bf.num_rounds == 1
         assert sorted(bf.round_members(0)) == [0, 1, 2, 3]
 
@@ -100,42 +95,9 @@ class TestDfsVisit:
         # With adjacency in input order, the far triangle closes first (at c),
         # then the block containing the start vertex.
         g = bowtie()
-        state, builder = self.run_single(g, vertex(g, "a"))
-        builder.finish_component(vertex(g, "a"))
-        bf = builder.build()
+        assert vertex(g, "a") == 0
+        bf = build_block_forest(g)
         assert members_by_label(g, bf) == [["c", "d", "e"], ["a", "b", "c"]]
-
-    def test_state_postconditions(self):
-        g = bowtie()
-        state, _ = self.run_single(g, 0)
-        assert sorted(state.number) == list(range(g.n))
-        assert all(state.lowpt[v] <= state.number[v] for v in range(g.n))
-        assert state.edges == []  # fully drained
-        assert state.frame_vertex == []
-
-    def test_visits_only_the_start_component(self):
-        g = graph_from("a b\nc d")
-        state, builder = self.run_single(g, 0)
-        assert state.number[vertex(g, "c")] == -1
-        assert state.number[vertex(g, "d")] == -1
-
-    def test_edge_examinations_exactly_touch_each_slot_once(self):
-        for spec in (
-            GeneratorSpec("path", 50),
-            GeneratorSpec("star", 40),
-            GeneratorSpec("gnm", 60, m=300, seed=5),
-            GeneratorSpec("balanced-tree", 63, k=2),
-            GeneratorSpec("clique-chain", 41, k=5),
-        ):
-            g = generate(spec)
-            state = DfsState.fresh(g.n)
-            builder = BlockForestBuilder.fresh(g)
-            for s in range(g.n):
-                if state.number[s] < 0:
-                    dfs_visit(g, s, state, builder)
-                    builder.finish_component(s)
-            assert state.edge_examinations == 2 * g.m
-            assert state.edge_examinations <= 4 * (g.n + g.m)
 
 
 class TestArticulationPoints:
@@ -229,6 +191,13 @@ class TestRerooting:
         bf = build_block_forest(g)
         with pytest.raises(ValueError):
             rerooted_at(bf, 0)
+
+    def test_rejects_ids_past_the_last_round(self):
+        g = graph_from("a b\nb c\nc d")
+        bf = build_block_forest(g)
+        for node in (bf.num_nodes, 10**9):
+            with pytest.raises(ValueError, match="round nodes only"):
+                rerooted_at(bf, node)
 
     def test_reroot_keeps_structure(self):
         rng = random.Random(5150)

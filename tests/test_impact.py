@@ -11,7 +11,6 @@ from blockimpact import (
     articulation_points,
     build_block_forest,
     compute_all_impacts,
-    compute_impact,
     compute_sq_sizes,
     connected_components,
     generate,
@@ -67,7 +66,7 @@ class TestSqSizes:
                 anyv = root if root < g.n else bf.round_members(root - g.n)[0]
                 assert sq[root] == cc.size_of(anyv)
 
-    def test_traversal_path_agrees_with_construction_path(self):
+    def test_rerooting_at_a_root_keeps_sizes(self):
         rng = random.Random(456)
         for g in seeded_gnm_graphs(50, 30, rng):
             bf = build_block_forest(g)
@@ -75,10 +74,9 @@ class TestSqSizes:
             for root in bf.roots:
                 if root < g.n:
                     continue
-                # Re-rooting at the existing root keeps the orientation but
-                # forces the generic explicit-stack traversal.
+                # Re-rooting at the existing root is a copy with the same
+                # orientation, so its sizes must not change.
                 again = rerooted_at(bf, root)
-                assert not again.construction_ordered
                 assert compute_sq_sizes(again).values == direct
                 break
 
@@ -101,15 +99,6 @@ class TestComputeImpact:
     def test_triangle_all_zero(self):
         g = graph_from("a b\nb c\nc a")
         assert fast_impacts(g) == [0, 0, 0]
-
-    def test_scalar_equals_vector(self):
-        rng = random.Random(31415)
-        for g in seeded_gnm_graphs(60, 35, rng):
-            bf = build_block_forest(g)
-            sizes = compute_sq_sizes(bf)
-            cc = connected_components(g)
-            vec = impact_vector(bf, sizes, cc)
-            assert [compute_impact(bf, sizes, cc, v) for v in range(g.n)] == vec
 
 
 class TestComputeAllImpacts:
