@@ -4,8 +4,8 @@ Subcommands: ``analyze`` prints the impact report, ``check`` cross-checks the
 fast path against the removal oracle, ``dot`` emits the block forest as
 Graphviz text, ``bench`` runs the scaling harness. Exit codes: 0 success
 (also when the reader closes stdout early, as ``| head`` does), 1 check
-mismatch, 2 usage or input errors. Any other exception is a program fault
-and is not reported as bad input.
+mismatch, 2 usage or input errors, 3 out of memory. Any other exception is a
+program fault and is not reported as bad input.
 """
 
 from __future__ import annotations
@@ -282,6 +282,13 @@ def run(argv: list[str] | None = None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # Out of memory. The message is written only once the handler is left:
+    # the traceback, and through its frames whatever the failed command had
+    # built, is released there.
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ single-square tree rooted at itself.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .graph import CcLabeling, Graph
@@ -27,8 +28,9 @@ class BlockForest:
 
     ``member_flat[member_indptr[r]:member_indptr[r+1]]`` lists round r's
     member squares in attachment order. ``parent`` covers all nodes (squares
-    then rounds), -1 at roots. ``edges`` is the graph's edge table, held by
-    reference, from which :attr:`edge_round` is derived on first use.
+    then rounds), -1 at roots. ``ends`` is the graph's flat edge table
+    (:attr:`blockimpact.graph.Graph.ends`), held by reference, from which
+    :attr:`edge_round` is derived on first use.
     """
 
     n_squares: int
@@ -36,7 +38,7 @@ class BlockForest:
     member_indptr: list[int]
     parent: list[int]
     roots: list[int]
-    edges: list[tuple[int, int]]
+    ends: array
     _square_indptr: list[int] | None = None
     _square_rounds: list[int] | None = None
     _edge_round: list[int] | None = None
@@ -91,7 +93,8 @@ class BlockForest:
             parent = self.parent
             out = []
             append = out.append
-            for a, b in self.edges:
+            pairs = iter(self.ends)
+            for a, b in zip(pairs, pairs):
                 pa = parent[a]
                 append(pa if parent[b] == pa or parent[pa] == b else parent[b])
             self._edge_round = out
@@ -243,7 +246,7 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
         member_indptr=member_indptr,
         parent=parent,
         roots=roots,
-        edges=g.edges,
+        ends=g.ends,
     )
     return bf, CcLabeling(comp, sizes)
 
@@ -306,7 +309,7 @@ def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
         member_indptr=bf.member_indptr,
         parent=parent,
         roots=roots,
-        edges=bf.edges,
+        ends=bf.ends,
         _square_indptr=bf._square_indptr,
         _square_rounds=bf._square_rounds,
         _edge_round=bf._edge_round,

@@ -2,8 +2,10 @@
 
 Vertices are contiguous 0-based internal ids; the original input labels are
 kept on the graph so every user-facing output can report them. Adjacency is
-stored CSR-style in plain Python lists, which is what the DFS-heavy code in
-the rest of the package iterates over.
+stored CSR-style: ``indptr`` is a plain list, which the DFS-heavy code in the
+rest of the package indexes most, while the neighbour slots and the edge
+table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
+pointer plus one boxed int each.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import io
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple
@@ -31,16 +34,18 @@ class Graph:
     """Immutable undirected simple graph: CSR adjacency plus the edge table.
 
     The neighbors of vertex ``v`` are ``nbr[indptr[v]:indptr[v+1]]``; each
-    edge appears there exactly twice, once per endpoint. ``edges[e]`` is edge
-    ``e`` as first recorded, and edge ids index it alone: the adjacency does
-    not carry them. There are no self-loops and no parallel edges.
+    edge appears there exactly twice, once per endpoint. Edge ``e`` is
+    ``(ends[2*e], ends[2*e+1])`` as first recorded, and edge ids index
+    ``ends`` alone: the adjacency does not carry them. ``nbr`` and ``ends``
+    are ``array("q")``; ``indptr`` and ``labels`` are lists. There are no
+    self-loops and no parallel edges.
     """
 
     n: int
     m: int
     indptr: list[int]
-    nbr: list[int]
-    edges: list[tuple[int, int]]  # edge id -> (u, v) as first recorded
+    nbr: array  # typecode "q": neighbour slots, CSR order
+    ends: array  # typecode "q": u0, w0, u1, w1, ... in recorded edge order
     labels: list[str]  # internal id -> original label
 
     @classmethod
@@ -65,7 +70,7 @@ class Graph:
                 raise ValueError("duplicate vertex labels")
         n = len(labels)
 
-        edge_list: list[tuple[int, int]] = []
+        ends = array("q")
         seen: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -76,8 +81,16 @@ class Graph:
             if key in seen:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             seen.add(key)
-            edge_list.append((u, v))
-        return _from_clean_edges(labels, edge_list)
+            ends.append(u)
+            ends.append(v)
+        return _from_clean_edges(labels, ends)
+
+    @property
+    def edges(self) -> list[tuple[int, int]]:
+        """Edge id -> ``(u, v)`` as first recorded: a new list of pairs
+        built from ``ends`` on every call, for callers that want tuples."""
+        ends = self.ends
+        return list(zip(ends[0::2], ends[1::2]))
 
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
@@ -109,26 +122,27 @@ class ParseResult(NamedTuple):
 MAX_DIMACS_VERTICES = 2**26
 
 
-def _from_clean_edges(labels: list[str], edges: list[tuple[int, int]]) -> Graph:
-    """The CSR graph over ``edges``, which must already be in range, free of
-    self-loops and distinct: the one CSR construction behind the parsers and
-    :meth:`Graph.from_edges`."""
+def _from_clean_edges(labels: list[str], ends: array) -> Graph:
+    """The CSR graph over the flat edge table ``ends`` (``u0, w0, u1, w1,
+    ...``), whose edges must already be in range, free of self-loops and
+    distinct: the one CSR construction behind the parsers and
+    :meth:`Graph.from_edges`. The graph keeps ``ends`` itself."""
     n = len(labels)
     deg = [0] * n
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
+    for x in ends:
+        deg[x] += 1
     indptr = [0, *accumulate(deg)]
     cursor = indptr[:n]
-    nbr = [0] * indptr[n]
-    for u, v in edges:
+    nbr = array("q", [0]) * len(ends)
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
         i = cursor[u]
         nbr[i] = v
         cursor[u] = i + 1
         i = cursor[v]
         nbr[i] = u
         cursor[v] = i + 1
-    return Graph(n, len(edges), indptr, nbr, edges, labels)
+    return Graph(n, len(ends) // 2, indptr, nbr, ends, labels)
 
 
 def _numbered_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
@@ -150,8 +164,8 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
     """
     ids: dict[str, int] = {}  # label -> id, in first-appearance order
     intern = ids.setdefault
-    edges: list[tuple[int, int]] = []
-    append = edges.append
+    ends = array("q")
+    append = ends.append
     seen: set[int] = set()  # (lo << 32) | hi of every kept edge
     dropped = 0
     for lineno, line in _numbered_lines(text):
@@ -177,8 +191,9 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
             dropped += 1
             continue
         seen.add(key)
-        append((u, w))
-    return ParseResult(_from_clean_edges(list(ids), edges), dropped)
+        append(u)
+        append(w)
+    return ParseResult(_from_clean_edges(list(ids), ends), dropped)
 
 
 def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
@@ -191,8 +206,8 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
     the retained count wins.
     """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    append = edges.append
+    ends = array("q")
+    append = ends.append
     seen: set[int] = set()  # (lo << 32) | hi of every kept edge
     dropped = 0
     for lineno, line in _numbered_lines(text):
@@ -225,7 +240,8 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
                 dropped += 1
                 continue
             seen.add(key)
-            append((u, w))
+            append(u)
+            append(w)
         elif kind == "c":
             continue
         elif kind == "p":
@@ -250,7 +266,7 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
     if n is None:
         raise ParseError("missing 'p' line")
     labels = [str(i) for i in range(1, n + 1)]
-    return ParseResult(_from_clean_edges(labels, edges), dropped)
+    return ParseResult(_from_clean_edges(labels, ends), dropped)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -273,7 +289,8 @@ def format_edge_list(g: Graph) -> str:
     indptr = g.indptr
     out = [f"v {lab}" for lab, lo, hi in zip(labels, indptr, indptr[1:]) if lo == hi]
     append = out.append
-    for u, w in g.edges:
+    pairs = iter(g.ends)
+    for u, w in zip(pairs, pairs):
         if u in second:
             if w in second:
                 raise ValueError(f"edge {labels[u]!r} -- {labels[w]!r} is not serializable")

@@ -142,14 +142,20 @@ class ImpactReport:
 
 
 def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
-    """Component labeling plus, per vertex v, the total and the largest size
-    of the DFS child subtrees that removing v cuts off as separate pieces.
+    """Component labeling plus, per vertex v, the largest size of the DFS
+    child subtrees that removing v cuts off as separate pieces, and the
+    total size of the other such pieces.
 
     One explicit-stack DFS over the CSR arrays, components started in vertex
     order, so component ids follow each component's first-visited vertex as
     in :func:`blockimpact.graph.connected_components`. The tree edge back to
     the parent p is not skipped: it can lower the child's lowpoint only to
     number(p), which leaves the test lowpoint(child) >= number(p) unchanged.
+
+    Keeping the largest piece apart from the rest, rather than next to the
+    total, leaves the rest at the shared small int 0 for a vertex that cuts
+    off a single piece (every inner vertex of a path), so only one int
+    object per such vertex is allocated.
     """
     n = g.n
     indptr = g.indptr
@@ -157,8 +163,8 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
     number = [-1] * n
     lowpt = [0] * n
     comp = [0] * n
-    cut_sum = [0] * n
     cut_max = [0] * n
+    cut_rest = [0] * n
     cursor = indptr[:n]  # next adjacency slot to scan, per vertex
     sizes: list[int] = []
     timer = 0
@@ -193,9 +199,11 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
                     p = stack[-1]
                     if low >= number[p]:
                         size = timer - number[v]
-                        cut_sum[p] += size
-                        if size > cut_max[p]:
+                        big = cut_max[p]
+                        if size > big:
                             cut_max[p] = size
+                            size = big  # the old largest joins the rest
+                        cut_rest[p] += size
                     elif low < lowpt[p]:
                         lowpt[p] = low
                 continue
@@ -207,7 +215,7 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
             comp[u] = cid
             push(u)
         sizes.append(timer - first)
-    return CcLabeling(comp, sizes), cut_sum, cut_max
+    return CcLabeling(comp, sizes), cut_max, cut_rest
 
 
 def compute_all_impacts(g: Graph) -> ImpactReport:
@@ -217,16 +225,15 @@ def compute_all_impacts(g: Graph) -> ImpactReport:
     and, unless v is a DFS root, the rest of its component; the impact is the
     component size minus one minus the largest of those pieces.
     """
-    cc, cut_sum, cut_max = _separated_pieces(g)
+    cc, cut_max, cut_rest = _separated_pieces(g)
     comp_id = cc.component_id
     comp_size = cc.component_size
     # With nothing cut off, the rest of the component stays whole: impact 0.
     impacts = [0] * g.n
-    for v, cut in enumerate(cut_sum):
-        if cut:
+    for v, big in enumerate(cut_max):
+        if big:
             others = comp_size[comp_id[v]] - 1
-            rest = others - cut
-            big = cut_max[v]
+            rest = others - big - cut_rest[v]
             impacts[v] = others - (big if big > rest else rest)
     flags = [x > 0 for x in impacts]
     return ImpactReport.from_columns(g.labels, impacts, flags, cc, g.m)

@@ -424,6 +424,35 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert err == b""
 
+    @pytest.mark.parametrize("kind", ["dimacs-declared", "edgelist"])
+    def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, kind):
+        resource = pytest.importorskip("resource")
+        limit = 128 << 20  # bytes of address space; the interpreter starts in ~20 MiB
+
+        def cap_child():  # runs in the child only, before it execs
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        if kind == "dimacs-declared":
+            # Within the declared-count limit, but its labels alone need GiBs.
+            path = tmp_path / "huge.dimacs"
+            path.write_text("p edge 67108864 0\n")
+            args = ["--format", "dimacs", str(path)]
+        else:
+            # 300 000 disjoint edges: ~194 MiB peak RSS uncapped.
+            path = tmp_path / "disjoint.edges"
+            path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(300_000)))
+            args = ["--all", str(path)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockimpact.cli", "analyze", *args],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=cap_child,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == b"error: out of memory\n"
+        assert b"Traceback" not in proc.stdout + proc.stderr
+
 
 class TestGolden:
     @pytest.mark.parametrize("name", ["path6", "bowtie", "pendant_triangle", "multiblock"])

@@ -1,6 +1,8 @@
 import io
 import itertools
+import pickle
 import random
+from array import array
 from dataclasses import fields
 
 import pytest
@@ -207,8 +209,48 @@ class TestGraphInvariants:
 
     def test_adjacency_slice_in_edge_order(self):
         g, _ = parse_edge_list("a b\na c")
-        assert g.nbr[g.indptr[0]:g.indptr[1]] == [1, 2]
+        assert list(g.nbr[g.indptr[0]:g.indptr[1]]) == [1, 2]
         assert g.degree(0) == 2
+
+
+class TestStorage:
+    """``nbr`` and ``ends`` are flat ``array("q")`` on every way a graph is
+    built; ``edges`` is derived from ``ends`` in recorded order."""
+
+    BUILDERS = {
+        "edgelist": lambda: parse_edge_list("a b\nc a\nb c\nc d\nv e")[0],
+        "dimacs": lambda: parse_dimacs("p edge 5 4\ne 1 2\ne 3 1\ne 2 3\ne 3 4\n")[0],
+        "from_edges": lambda: Graph.from_edges(5, [(0, 1), (2, 0), (1, 2), (2, 3)]),
+        "generate": lambda: generate(GeneratorSpec("gnm", 30, m=50, seed=5)),
+    }
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_flat_int64_arrays(self, build):
+        g = build()
+        for name in ("nbr", "ends"):
+            field = getattr(g, name)
+            assert isinstance(field, array) and field.typecode == "q", name
+        assert type(g.indptr) is list and type(g.labels) is list
+        assert len(g.ends) == 2 * g.m and len(g.nbr) == 2 * g.m
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_edges_in_recorded_order(self, build):
+        g = build()
+        assert g.edges == [(g.ends[2 * e], g.ends[2 * e + 1]) for e in range(g.m)]
+        assert all(type(u) is int and type(w) is int for u, w in g.edges)
+        assert g.edges is not g.edges  # built per call, never cached
+
+    def test_recorded_order_of_each_builder(self):
+        want = [(0, 1), (2, 0), (1, 2), (2, 3)]
+        for name in ("edgelist", "dimacs", "from_edges"):
+            assert self.BUILDERS[name]().edges == want, name
+
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_pickle_round_trip(self, build):
+        g = build()
+        again = pickle.loads(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
+        assert again == g
+        assert again.nbr.typecode == "q" and again.ends.typecode == "q"
 
 
 @st.composite

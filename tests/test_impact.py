@@ -317,6 +317,50 @@ class TestDfsAgainstForest:
         assert_dfs_matches_forest(g)
 
 
+def hub_with_pieces(pieces, above):
+    """A hub vertex whose removal leaves one piece per entry of ``pieces``,
+    which the DFS closes in the order given, plus a path of ``above``
+    vertices the DFS comes down before reaching the hub; with ``above`` 0
+    the hub is the DFS root. Pieces alternate between a path hanging off the
+    hub and a cycle through it. Returns the graph and the hub's id."""
+    hub = above
+    edges = [(i, i + 1) for i in range(above)]  # the last one reaches the hub
+    n = hub + 1
+    for i, size in enumerate(pieces):
+        piece = list(range(n, n + size))
+        n += size
+        edges.append((hub, piece[0]))
+        edges += zip(piece, piece[1:])
+        if i % 2 and size >= 2:
+            edges.append((piece[-1], hub))
+    return Graph.from_edges(n, edges), hub
+
+
+class TestSeparatedPieces:
+    """The DFS keeps each vertex's largest separated piece apart from the
+    sum of the others; pieces arriving in any size order must give the same
+    impact as the closed form and both oracles."""
+
+    ORDERS = {
+        "ascending": [1, 2, 3, 5],
+        "descending": [5, 3, 2, 1],
+        "tied": [3, 3, 3],
+        "tied-largest-first": [4, 4, 2],
+        "mixed": [2, 4, 1, 4, 3],
+        "one-piece": [6],
+    }
+
+    @pytest.mark.parametrize("above", [0, 1, 4, 30], ids=lambda a: f"above{a}")
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    def test_hub_impact(self, order, above):
+        g, hub = hub_with_pieces(order, above)
+        everything = order + ([above] if above else [])
+        report = compute_all_impacts(g)
+        assert report.impact[hub] == sum(everything) - max(everything)
+        assert report.impact == forest_impacts(g)[0]
+        assert report.impact == naive_all_impacts(g).impact
+
+
 class TestSampledOracleAtScale:
     """The removal oracle on a seeded sample of vertices of graphs far past
     the reach of a full O(n(n + m)) sweep."""
