@@ -11,7 +11,7 @@ as a second linear-time oracle. A brute-force removal oracle ships alongside
 for verification.
 """
 
-from .bench import BenchRow, sweep, time_all_impacts
+from .bench import sweep, time_all_impacts
 from .dot import export_dot
 from .forest import (
     BlockForest,
@@ -27,8 +27,6 @@ from .graph import (
     GeneratorSpec,
     Graph,
     ParseError,
-    ParseResult,
-    connected_components,
     format_edge_list,
     generate,
     parse_dimacs,
@@ -36,9 +34,9 @@ from .graph import (
 )
 from .impact import (
     ImpactReport,
-    SqSizes,
     compute_all_impacts,
     compute_sq_sizes,
+    connected_components,
     impact_vector,
 )
 from .oracle import (
@@ -51,7 +49,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow",
     "BlockForest",
     "CcLabeling",
     "GENERATOR_FAMILIES",
@@ -59,8 +56,6 @@ __all__ = [
     "Graph",
     "ImpactReport",
     "ParseError",
-    "ParseResult",
-    "SqSizes",
     "articulation_points",
     "biconnected_components",
     "bridges",

@@ -9,21 +9,20 @@ from __future__ import annotations
 
 from .forest import BlockForest
 from .graph import Graph
-from .impact import SqSizes
 
 
 def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: Graph, bf: BlockForest, sizes: SqSizes) -> str:
+def export_dot(g: Graph, bf: BlockForest, sizes: list[int]) -> str:
     degs = bf.square_degrees()
     lines = ["graph block_forest {"]
     for v in range(bf.n_squares):
         style = ", style=bold" if degs[v] >= 2 else ""
         lines.append(f"  s{v} [shape=box{style}, label={_quote(g.labels[v])}];")
     for r in range(bf.num_rounds):
-        badge = sizes.values[bf.n_squares + r]
+        badge = sizes[bf.n_squares + r]
         lines.append(f'  r{r} [shape=ellipse, label="{badge}"];')
     for r in range(bf.num_rounds):
         for v in bf.round_members(r):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import CcLabeling, Graph
 
@@ -58,16 +59,8 @@ class BlockForest:
         if self._square_indptr is not None:
             return
         n = self.n_squares
-        counts = [0] * n
-        for v in self.member_flat:
-            counts[v] += 1
-        indptr = [0] * (n + 1)
-        total = 0
-        for i in range(n):
-            indptr[i] = total
-            total += counts[i]
-        indptr[n] = total
-        out = [0] * total
+        indptr = [0, *accumulate(self.square_degrees())]
+        out = [0] * indptr[n]
         cursor = indptr[:n]
         flat = self.member_flat
         start = self.member_indptr
@@ -139,7 +132,7 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
     drained, then the tree edge itself. Their endpoints, newest edge first,
     then v, then p, each taken once, become the new round node's members.
 
-    The labeling is identical to :func:`blockimpact.graph.connected_components`
+    The labeling is identical to :func:`blockimpact.impact.connected_components`
     (component ids follow the first-visited vertex); it comes for free here
     instead of costing a second traversal.
     """
@@ -282,27 +275,19 @@ def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
     """Copy of ``bf`` with ``round_node``'s tree re-rooted there.
 
     Only the orientation (parent pointers, roots) changes; adjacency and
-    members are shared. Raises ValueError unless ``round_node`` is the id of
-    a round node.
+    members are shared. The copied parent pointers are reversed along the
+    path from ``round_node`` up to the old root, a walk of O(depth) that
+    reads no adjacency, and the old root, the last node on that path, is
+    replaced in ``roots``. Raises ValueError unless ``round_node`` is the id
+    of a round node.
     """
     if not bf.n_squares <= round_node < bf.num_nodes:
         raise ValueError("trees are re-rooted at round nodes only")
     parent = list(bf.parent)
-    old_root = round_node
-    while parent[old_root] != -1:
-        old_root = parent[old_root]
-
-    # Re-orient by DFS from the new root; parent-skip suffices on a tree.
-    parent[round_node] = -1
-    stack = [(round_node, -1)]
-    while stack:
-        node, par = stack.pop()
-        parent[node] = par
-        for nb in bf.neighbors(node):
-            if nb != par:
-                stack.append((nb, node))
-
-    roots = [round_node if r == old_root else r for r in bf.roots]
+    prev, node = -1, round_node
+    while node != -1:
+        parent[node], prev, node = prev, node, parent[node]
+    roots = [round_node if r == prev else r for r in bf.roots]
     return BlockForest(
         n_squares=bf.n_squares,
         member_flat=bf.member_flat,

@@ -1,4 +1,4 @@
-"""Undirected simple graphs: representation, parsing, generation, components.
+"""Undirected simple graphs: representation, parsing and generation.
 
 Vertices are contiguous 0-based internal ids; the original input labels are
 kept on the graph so every user-facing output can report them. Adjacency is
@@ -99,7 +99,9 @@ class Graph:
 @dataclass(frozen=True, slots=True)
 class CcLabeling:
     """Connected-component labeling: ids are dense and assigned in order of
-    each component's first-visited vertex."""
+    each component's first-visited vertex. The lowpoint DFS computes it
+    (:func:`blockimpact.impact.connected_components`); the removal oracle
+    keeps its own BFS."""
 
     component_id: list[int]  # per vertex
     component_size: list[int]  # per component
@@ -193,7 +195,10 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
         seen.add(key)
         append(u)
         append(w)
-    return ParseResult(_from_clean_edges(list(ids), ends), dropped)
+    # Free the label map and the edge keys before the CSR build allocates.
+    labels = list(ids)
+    del ids, intern, seen
+    return ParseResult(_from_clean_edges(labels, ends), dropped)
 
 
 def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
@@ -265,6 +270,7 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
             raise ParseError(f"unexpected line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing 'p' line")
+    del seen  # free the edge keys before the labels and the CSR are built
     labels = [str(i) for i in range(1, n + 1)]
     return ParseResult(_from_clean_edges(labels, ends), dropped)
 
@@ -297,35 +303,6 @@ def format_edge_list(g: Graph) -> str:
             u, w = w, u
         append(f"{labels[u]} {labels[w]}")
     return "\n".join(out) + ("\n" if out else "")
-
-
-def connected_components(g: Graph) -> CcLabeling:
-    """BFS labeling; deterministic for a fixed adjacency order."""
-    n = g.n
-    indptr = g.indptr
-    nbr = g.nbr
-    comp = [-1] * n
-    sizes: list[int] = []
-    order: list[int] = []
-    append = order.append
-    cid = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        start = len(order)
-        comp[s] = cid
-        append(s)
-        idx = start
-        while idx < len(order):
-            v = order[idx]
-            idx += 1
-            for u in nbr[indptr[v]:indptr[v + 1]]:
-                if comp[u] < 0:
-                    comp[u] = cid
-                    append(u)
-        sizes.append(len(order) - start)
-        cid += 1
-    return CcLabeling(comp, sizes)
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,16 +27,9 @@ from .forest import BlockForest, build_forest_and_labeling
 from .graph import CcLabeling, Graph
 
 
-@dataclass(frozen=True, slots=True)
-class SqSizes:
-    """Per-node count of squares in each node's rooted subtree (the node
-    itself included when it is a square)."""
-
-    values: list[int]
-
-
-def compute_sq_sizes(bf: BlockForest) -> SqSizes:
-    """Bottom-up square counts for every node, under any rooting of ``bf``.
+def compute_sq_sizes(bf: BlockForest) -> list[int]:
+    """Per node id, the number of squares in the node's rooted subtree (the
+    node itself included when it is a square), under any rooting of ``bf``.
 
     One leaves-up pass over ``parent`` alone: count each node's children,
     start from the nodes that have none, and fold each node into its parent;
@@ -58,10 +51,10 @@ def compute_sq_sizes(bf: BlockForest) -> SqSizes:
             pending[p] -= 1
             if not pending[p]:
                 ready.append(p)
-    return SqSizes(sq)
+    return sq
 
 
-def impact_vector(bf: BlockForest, sizes: SqSizes, cc: CcLabeling) -> list[int]:
+def impact_vector(bf: BlockForest, sq: list[int], cc: CcLabeling) -> list[int]:
     """Impacts of all vertices in one pass over the round nodes.
 
     Deleting v leaves one piece per child block of v's square, the squares
@@ -71,7 +64,6 @@ def impact_vector(bf: BlockForest, sizes: SqSizes, cc: CcLabeling) -> list[int]:
     per-square adjacency.
     """
     n = bf.n_squares
-    sq = sizes.values
     parent = bf.parent
     child_max = [0] * n
     for node in range(n, bf.num_nodes):
@@ -147,8 +139,8 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
     total size of the other such pieces.
 
     One explicit-stack DFS over the CSR arrays, components started in vertex
-    order, so component ids follow each component's first-visited vertex as
-    in :func:`blockimpact.graph.connected_components`. The tree edge back to
+    order, so component ids follow each component's first-visited vertex;
+    :func:`connected_components` returns this labeling. The tree edge back to
     the parent p is not skipped: it can lower the child's lowpoint only to
     number(p), which leaves the test lowpoint(child) >= number(p) unchanged.
 
@@ -216,6 +208,12 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
             push(u)
         sizes.append(timer - first)
     return CcLabeling(comp, sizes), cut_max, cut_rest
+
+
+def connected_components(g: Graph) -> CcLabeling:
+    """Component labeling of ``g``, read off the lowpoint DFS of
+    :func:`_separated_pieces`."""
+    return _separated_pieces(g)[0]
 
 
 def compute_all_impacts(g: Graph) -> ImpactReport:

@@ -61,7 +61,8 @@ def naive_articulation_points(g: Graph) -> set[int]:
 
 
 def _labeling(g: Graph) -> CcLabeling:
-    # The oracle's own first-visit-order BFS labeling (not graph.connected_components).
+    # The oracle's own first-visit-order BFS labeling, independent of the
+    # lowpoint DFS behind impact.connected_components.
     n = g.n
     indptr = g.indptr
     nbr = g.nbr

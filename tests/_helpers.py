@@ -176,7 +176,7 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         assert containing == [node]
 
     # Subtree square counts: recurrence and root totals.
-    sq = compute_sq_sizes(bf).values
+    sq = compute_sq_sizes(bf)
     child_sum = [0] * (n + nrounds)
     for x in range(n + nrounds):
         p = bf.parent[x]

@@ -185,6 +185,29 @@ class TestInvariants:
         assert articulation_points(bf) == naive_articulation_points(g)
 
 
+def reoriented_by_bfs(bf, new_root):
+    """Reference re-rooting: parent pointers and roots from a BFS over the
+    forest's adjacency, starting at ``new_root``."""
+    parent = list(bf.parent)
+    parent[new_root] = -1
+    queue = [new_root]
+    for x in queue:  # grows while it is read
+        for y in bf.neighbors(x):
+            if y != parent[x]:
+                parent[y] = x
+                queue.append(y)
+    tree = set(queue)
+    roots = [new_root if r in tree else r for r in bf.roots]
+    return parent, roots
+
+
+def assert_reroot_matches_bfs(bf, new_root):
+    before = list(bf.parent), list(bf.roots)
+    bf2 = rerooted_at(bf, new_root)
+    assert (bf2.parent, bf2.roots) == reoriented_by_bfs(bf, new_root)
+    assert (bf.parent, bf.roots) == before
+
+
 class TestRerooting:
     def test_rejects_square_nodes(self):
         g = bowtie()
@@ -230,6 +253,43 @@ class TestRerooting:
                 rerooted_at(bf, g.n + r).edge_round is bf.edge_round
                 for r in range(bf.num_rounds)
             )
+
+    def test_matches_bfs_reorientation_on_seeded_graphs(self):
+        rng = random.Random(7207)
+        for g in seeded_gnm_graphs(80, 40, rng):
+            bf = build_block_forest(g)
+            for r in range(bf.num_rounds):
+                assert_reroot_matches_bfs(bf, g.n + r)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("path", 300),
+            GeneratorSpec("star", 300),
+            GeneratorSpec("balanced-tree", 300, k=3),
+            GeneratorSpec("gnm", 300, m=330, seed=23),
+            GeneratorSpec("clique-chain", 1 + 3 * 100, k=4),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_matches_bfs_reorientation_on_every_family(self, spec):
+        g = generate(spec)
+        bf = build_block_forest(g)
+        for r in range(bf.num_rounds):
+            assert_reroot_matches_bfs(bf, g.n + r)
+
+    def test_far_end_of_a_long_path(self):
+        n = 1 << 16
+        g = generate(GeneratorSpec("path", n))
+        bf = build_block_forest(g)
+        far = bf.square_rounds(n - 1)[0]
+        # The round holding the last vertex is the deepest one: its walk up
+        # to the old root passes every round and every inner square.
+        depth, node = 0, far
+        while bf.parent[node] != -1:
+            depth, node = depth + 1, bf.parent[node]
+        assert depth == 2 * (n - 2)
+        assert_reroot_matches_bfs(bf, far)
 
     def test_reroot_at_current_root_is_identity(self):
         g = bowtie()

@@ -22,6 +22,7 @@ from blockimpact import (
 )
 
 import blockimpact.graph as graph_mod
+from blockimpact.oracle import _labeling
 
 from _helpers import all_graphs_up_to, vertex
 
@@ -369,6 +370,28 @@ class TestConnectedComponents:
                 if c not in first_seen:
                     first_seen.append(c)
             assert first_seen == list(range(cc.count))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("path", 1 << 17),
+            GeneratorSpec("star", 1 << 16),
+            GeneratorSpec("balanced-tree", 1 << 16, k=3),
+            GeneratorSpec("gnm", 1 << 16, m=1 << 16, seed=17),
+            GeneratorSpec("gnm", 87_382, m=43_690, seed=18),
+            GeneratorSpec("clique-chain", 1 + 7 * 3_745, k=8),
+        ],
+        ids=lambda spec: f"{spec.family}-{spec.n}-{spec.m}",
+    )
+    def test_matches_oracle_labeling_near_2_17_elements(self, spec):
+        # The oracle's BFS shares nothing with the lowpoint DFS that labels
+        # the components; the path is as deep as a DFS gets.
+        g = generate(spec)
+        assert 0.9 * (1 << 17) <= g.n + g.m <= 2.1 * (1 << 17)
+        cc = connected_components(g)
+        ref = _labeling(g)
+        assert cc.component_id == ref.component_id
+        assert cc.component_size == ref.component_size
 
 
 class TestGenerate:

@@ -35,20 +35,20 @@ class TestSqSizes:
     def test_triangle(self):
         g = graph_from("a b\nb c\nc a")
         bf = build_block_forest(g)
-        sq = compute_sq_sizes(bf).values
+        sq = compute_sq_sizes(bf)
         assert sq == [1, 1, 1, 3]  # three leaf squares, root round holds all
 
     def test_singleton(self):
         g = graph_from("v only")
         bf = build_block_forest(g)
-        assert compute_sq_sizes(bf).values == [1]
+        assert compute_sq_sizes(bf) == [1]
 
     def test_bowtie_under_construction_rooting(self):
         # Root is the block containing the DFS start a, so the far triangle's
         # round node sits below c and counts just {d, e}.
         g = bowtie()
         bf = build_block_forest(g)
-        sq = compute_sq_sizes(bf).values
+        sq = compute_sq_sizes(bf)
         by_label = {g.labels[v]: sq[v] for v in range(g.n)}
         assert by_label == {"a": 1, "b": 1, "c": 3, "d": 1, "e": 1}
         root = bf.roots[0]
@@ -60,7 +60,7 @@ class TestSqSizes:
         rng = random.Random(99182)
         for g in seeded_gnm_graphs(60, 40, rng):
             bf = build_block_forest(g)
-            sq = compute_sq_sizes(bf).values
+            sq = compute_sq_sizes(bf)
             cc = connected_components(g)
             for root in bf.roots:
                 anyv = root if root < g.n else bf.round_members(root - g.n)[0]
@@ -70,14 +70,14 @@ class TestSqSizes:
         rng = random.Random(456)
         for g in seeded_gnm_graphs(50, 30, rng):
             bf = build_block_forest(g)
-            direct = compute_sq_sizes(bf).values
+            direct = compute_sq_sizes(bf)
             for root in bf.roots:
                 if root < g.n:
                     continue
                 # Re-rooting at the existing root is a copy with the same
                 # orientation, so its sizes must not change.
                 again = rerooted_at(bf, root)
-                assert compute_sq_sizes(again).values == direct
+                assert compute_sq_sizes(again) == direct
                 break
 
 
@@ -152,9 +152,8 @@ class TestComputeAllImpacts:
 class TestDecompositionIdentity:
     def check(self, g):
         bf = build_block_forest(g)
-        sizes = compute_sq_sizes(bf)
+        sq = compute_sq_sizes(bf)
         cc = connected_components(g)
-        sq = sizes.values
         for v in range(g.n):
             comp = cc.size_of(v)
             pieces = [comp - sq[v]]
