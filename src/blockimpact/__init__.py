@@ -1,14 +1,14 @@
 """Impact of every articulation point of an undirected graph in O(n + m).
 
 The impact of a vertex is the number of vertices cut off from the largest
-surviving connected component when that vertex is removed. All impacts come
-from one Hopcroft-Tarjan lowpoint DFS: a DFS child whose lowpoint does not
-reach above its parent hangs below that parent as one piece of the size of
-its subtree. The block forest (square nodes = vertices, round nodes =
-biconnected components, built by one DFS with an edge stack) serves the
-structure queries, ``dot`` export, and the paper's subtree-size method, kept
-as a second linear-time oracle. A brute-force removal oracle ships alongside
-for verification.
+surviving connected component when that vertex is removed. All impacts, and
+the component labeling they need, come from one Hopcroft-Tarjan lowpoint DFS:
+a DFS child whose lowpoint does not reach above its parent hangs below that
+parent as one piece of the size of its subtree. The block forest (square
+nodes = vertices, round nodes = biconnected components, built by one DFS
+with an edge stack) serves the structure queries, ``dot`` export, and the
+paper's subtree-size method, kept as a second linear-time oracle. A
+brute-force removal oracle ships alongside for verification.
 """
 
 from .bench import sweep, time_all_impacts
@@ -23,7 +23,6 @@ from .forest import (
 )
 from .graph import (
     GENERATOR_FAMILIES,
-    CcLabeling,
     GeneratorSpec,
     Graph,
     ParseError,
@@ -33,6 +32,7 @@ from .graph import (
     parse_edge_list,
 )
 from .impact import (
+    CcLabeling,
     ImpactReport,
     compute_all_impacts,
     compute_sq_sizes,

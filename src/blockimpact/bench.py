@@ -10,6 +10,7 @@ not land on individual rows.
 from __future__ import annotations
 
 import gc
+import math
 import statistics
 import time
 from dataclasses import dataclass
@@ -48,9 +49,12 @@ def bench_graph(
 ) -> Graph:
     """The graph a sweep times at ``n`` vertices (gnm gets ``m_per_n * n``
     edges, capped at the complete graph). Raises ValueError on family
-    parameters the generator rejects."""
+    parameters the generator rejects, and for gnm on an ``m_per_n`` that is
+    negative, infinite or NaN."""
     m = None
     if family == "gnm":
+        if not 0 <= m_per_n < math.inf:
+            raise ValueError(f"m-per-n must be a finite number >= 0, got {m_per_n}")
         m = min(int(round(m_per_n * n)), n * (n - 1) // 2)
     return generate(GeneratorSpec(family, n, m=m, k=k, seed=seed))
 

@@ -181,8 +181,14 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
                         comp_id[v], comp_size[v])
             for v in order
         ])
-        vertices = f"[\n{rows}\n  ]" if rows else "[]"
-        out.write(f'{{\n  "summary": {{\n{summary}\n  }},\n  "vertices": {vertices}\n}}\n')
+        # The rows text is the one large string: write it as it is, not
+        # copied into a bigger one.
+        out.write(f'{{\n  "summary": {{\n{summary}\n  }},\n  "vertices": [')
+        if rows:
+            out.write("\n")
+            out.write(rows)
+            out.write("\n  ")
+        out.write("]\n}\n")
     return 0
 
 

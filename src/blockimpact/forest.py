@@ -3,9 +3,10 @@
 The block forest is the bipartite forest with a *square* node per graph
 vertex and a *round* node per biconnected component; a square is adjacent to
 every round node of a block containing it. One function,
-:func:`build_forest_and_labeling`, builds it and the component labeling in a
-single Hopcroft-Tarjan DFS with an edge stack, run on an explicit vertex
-stack so million-vertex paths cannot overflow the interpreter's call stack.
+:func:`build_block_forest`, builds it in a single Hopcroft-Tarjan DFS with an
+edge stack, run on an explicit vertex stack so million-vertex paths cannot
+overflow the interpreter's call stack. It labels no components: the lowpoint
+DFS in :mod:`blockimpact.impact` does that.
 
 Node ids: squares reuse the graph's vertex ids 0..n-1; round node r gets the
 absolute id n + r. ``parent`` orients every tree: each non-singleton tree is
@@ -20,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .graph import CcLabeling, Graph
+from .graph import Graph
 
 
 @dataclass(slots=True)
@@ -120,8 +121,8 @@ class BlockForest:
         return self.member_indptr[r + 1] - self.member_indptr[r]
 
 
-def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
-    """Build the block forest and the component labeling in one DFS sweep.
+def build_block_forest(g: Graph) -> BlockForest:
+    """Build the block forest of ``g`` (any graph, empty and edgeless included).
 
     One explicit-stack Hopcroft-Tarjan DFS per component, started in vertex
     order, with ``cursor[v]`` the next adjacency slot of v to scan; every
@@ -131,17 +132,12 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
     discovered at or after v (everything pushed inside v's subtree) are
     drained, then the tree edge itself. Their endpoints, newest edge first,
     then v, then p, each taken once, become the new round node's members.
-
-    The labeling is identical to :func:`blockimpact.impact.connected_components`
-    (component ids follow the first-visited vertex); it comes for free here
-    instead of costing a second traversal.
     """
     n = g.n
     indptr = g.indptr
     nbr = g.nbr
     number = [-1] * n
     lowpt = [0] * n
-    comp = [0] * n
     cursor = indptr[:n]
     # One slot per square, then one per round node: a round's id is
     # len(parent) at its creation. A square's parent is also the marker
@@ -151,7 +147,6 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
     member_add = member_flat.append
     member_indptr: list[int] = []
     roots: list[int] = []
-    sizes: list[int] = []
     edges: list[tuple[int, int]] = []
     push_edge = edges.append
     pop_edge = edges.pop
@@ -159,11 +154,8 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
     for s in range(n):
         if number[s] >= 0:
             continue
-        cid = len(sizes)
-        first = timer
         number[s] = lowpt[s] = timer
         timer += 1
-        comp[s] = cid
         stack = [-1, s]  # the DFS parent of stack[-1] is stack[-2]
         push = stack.append
         pop = stack.pop
@@ -221,9 +213,7 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
             lowpt[v] = low
             number[u] = lowpt[u] = timer
             timer += 1
-            comp[u] = cid
             push(u)
-        sizes.append(timer - first)
         # The last block closed in the component holds s and becomes the
         # root; an s that joined no block is an isolated square tree.
         root = parent[s]
@@ -233,7 +223,7 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
             parent[root] = -1
         roots.append(root)
     member_indptr.append(len(member_flat))
-    bf = BlockForest(
+    return BlockForest(
         n_squares=n,
         member_flat=member_flat,
         member_indptr=member_indptr,
@@ -241,12 +231,6 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
         roots=roots,
         ends=g.ends,
     )
-    return bf, CcLabeling(comp, sizes)
-
-
-def build_block_forest(g: Graph) -> BlockForest:
-    """Build the block forest of ``g`` (any graph, empty and edgeless included)."""
-    return build_forest_and_labeling(g)[0]
 
 
 def articulation_points(bf: BlockForest) -> set[int]:

@@ -5,7 +5,8 @@ kept on the graph so every user-facing output can report them. Adjacency is
 stored CSR-style: ``indptr`` is a plain list, which the DFS-heavy code in the
 rest of the package indexes most, while the neighbour slots and the edge
 table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
-pointer plus one boxed int each.
+pointer plus one boxed int each. This module imports nothing else from the
+package; the component labeling lives in :mod:`blockimpact.impact`.
 """
 
 from __future__ import annotations
@@ -94,24 +95,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
-
-
-@dataclass(frozen=True, slots=True)
-class CcLabeling:
-    """Connected-component labeling: ids are dense and assigned in order of
-    each component's first-visited vertex. The lowpoint DFS computes it
-    (:func:`blockimpact.impact.connected_components`); the removal oracle
-    keeps its own BFS."""
-
-    component_id: list[int]  # per vertex
-    component_size: list[int]  # per component
-
-    @property
-    def count(self) -> int:
-        return len(self.component_size)
-
-    def size_of(self, v: int) -> int:
-        return self.component_size[self.component_id[v]]
 
 
 class ParseResult(NamedTuple):

@@ -8,7 +8,8 @@ removed; it is 0 exactly for non-articulation vertices.
 When DFS child c of v has lowpoint(c) >= number(v), removing v cuts c's whole
 subtree off as one piece, of as many vertices as were discovered while c was
 open; what is left of v's component minus those pieces and v is the last
-piece. No block forest is built on this path.
+piece. No block forest is built on this path. The same DFS labels the
+connected components (:class:`CcLabeling`), the one fast code that does.
 
 The paper's method gets the same pieces from the rooted block forest: one per
 child block of v's square node, plus the piece "above" v through its parent,
@@ -23,8 +24,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .forest import BlockForest, build_forest_and_labeling
-from .graph import CcLabeling, Graph
+from .forest import BlockForest, build_block_forest
+from .graph import Graph
+
+
+@dataclass(frozen=True, slots=True)
+class CcLabeling:
+    """Connected-component labeling: ids are dense and assigned in order of
+    each component's first-visited vertex. The lowpoint DFS of
+    :func:`_separated_pieces` is the one fast code that computes it
+    (:func:`connected_components`); the removal oracle keeps its own BFS."""
+
+    component_id: list[int]  # per vertex
+    component_size: list[int]  # per component
+
+    @property
+    def count(self) -> int:
+        return len(self.component_size)
+
+    def size_of(self, v: int) -> int:
+        return self.component_size[self.component_id[v]]
 
 
 def compute_sq_sizes(bf: BlockForest) -> list[int]:
@@ -237,8 +256,19 @@ def compute_all_impacts(g: Graph) -> ImpactReport:
     return ImpactReport.from_columns(g.labels, impacts, flags, cc, g.m)
 
 
+def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
+    """The block forest and the component labeling, each from its own DFS.
+
+    A seam for tracing, not a fused pass: the benchmark's tracer wraps
+    ``impact.build_forest_and_labeling`` by name and reads the forest as
+    ``result[0]``. It lives here, not in :mod:`blockimpact.forest`, because
+    the labeling comes from this module, which imports that one.
+    """
+    return build_block_forest(g), connected_components(g)
+
+
 def forest_impacts(g: Graph) -> tuple[list[int], CcLabeling]:
-    """Impacts and component labeling by the paper's block-forest method:
-    the second linear-time oracle for :func:`compute_all_impacts`."""
+    """Impacts by the paper's block-forest method, components from the
+    lowpoint DFS: the second linear-time oracle for :func:`compute_all_impacts`."""
     bf, cc = build_forest_and_labeling(g)
     return impact_vector(bf, compute_sq_sizes(bf), cc), cc

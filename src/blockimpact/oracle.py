@@ -1,17 +1,32 @@
 """Brute-force ground truth: impact and articulation points by actual removal.
 
 Every function here works by deleting a vertex and re-exploring what is left,
-exactly as the definitions read. Nothing is shared with the fast path beyond
-the graph container and the report schema -- this module re-derives even the
-component labeling with its own BFS, so a bug in the linear-time code cannot
-hide inside logic the oracle also uses. Cost is O(n(m+n)) over all vertices,
-by design.
+exactly as the definitions read, with one BFS helper. Nothing is shared with
+the fast path beyond the graph container and the report types -- this module
+re-derives even the component labeling with that BFS, so a bug in the
+linear-time code cannot hide inside logic the oracle also uses. Cost is
+O(n(m+n)) over all vertices, by design.
 """
 
 from __future__ import annotations
 
-from .graph import CcLabeling, Graph
-from .impact import ImpactReport
+from .graph import Graph
+from .impact import CcLabeling, ImpactReport
+
+
+def _reach(g: Graph, s: int, seen: bytearray) -> list[int]:
+    """The unseen vertices reachable from the unseen vertex ``s`` through
+    unseen vertices, in BFS order from ``s``; marks them all seen."""
+    indptr = g.indptr
+    nbr = g.nbr
+    seen[s] = 1
+    queue = [s]
+    for x in queue:  # grows while it is read
+        for y in nbr[indptr[x]:indptr[x + 1]]:
+            if not seen[y]:
+                seen[y] = 1
+                queue.append(y)
+    return queue
 
 
 def surviving_component_sizes(g: Graph, v: int) -> list[int]:
@@ -19,26 +34,10 @@ def surviving_component_sizes(g: Graph, v: int) -> list[int]:
 
     Empty when v is isolated; a single entry when v is not a cut vertex.
     """
-    indptr = g.indptr
-    nbr = g.nbr
     seen = bytearray(g.n)
     seen[v] = 1
-    sizes: list[int] = []
-    for w in nbr[indptr[v]:indptr[v + 1]]:
-        if seen[w]:
-            continue
-        seen[w] = 1
-        queue = [w]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in nbr[indptr[x]:indptr[x + 1]]:
-                if not seen[y]:
-                    seen[y] = 1
-                    queue.append(y)
-        sizes.append(len(queue))
-    return sizes
+    around = g.nbr[g.indptr[v]:g.indptr[v + 1]]
+    return [len(_reach(g, w, seen)) for w in around if not seen[w]]
 
 
 def naive_impact(g: Graph, v: int) -> int:
@@ -61,28 +60,18 @@ def naive_articulation_points(g: Graph) -> set[int]:
 
 
 def _labeling(g: Graph) -> CcLabeling:
-    # The oracle's own first-visit-order BFS labeling, independent of the
-    # lowpoint DFS behind impact.connected_components.
-    n = g.n
-    indptr = g.indptr
-    nbr = g.nbr
-    comp = [-1] * n
+    # The oracle's own labeling, one BFS per component started in vertex
+    # order, independent of the lowpoint DFS behind
+    # impact.connected_components.
+    comp = [0] * g.n
+    seen = bytearray(g.n)
     sizes: list[int] = []
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        cid = len(sizes)
-        comp[s] = cid
-        queue = [s]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for y in nbr[indptr[x]:indptr[x + 1]]:
-                if comp[y] < 0:
-                    comp[y] = cid
-                    queue.append(y)
-        sizes.append(len(queue))
+    for s in range(g.n):
+        if not seen[s]:
+            piece = _reach(g, s, seen)
+            for x in piece:
+                comp[x] = len(sizes)
+            sizes.append(len(piece))
     return CcLabeling(comp, sizes)
 
 

@@ -61,6 +61,32 @@ def seeded_gnm_graphs(count: int, n_max: int, rng) -> list[Graph]:
     return out
 
 
+def closure_components(g: Graph, without: int | None = None) -> list[int]:
+    """Component id per vertex from a Warshall transitive closure, the
+    brute-force reference; ids follow each component's smallest vertex.
+    With ``without``, that vertex's edges are left out, so it stands alone."""
+    reach = [[i == j for j in range(g.n)] for i in range(g.n)]
+    for u, v in g.edges:
+        if without not in (u, v):
+            reach[u][v] = reach[v][u] = True
+    for k in range(g.n):
+        for i in range(g.n):
+            if reach[i][k]:
+                row_i, row_k = reach[i], reach[k]
+                for j in range(g.n):
+                    if row_k[j]:
+                        row_i[j] = True
+    comp = [-1] * g.n
+    nxt = 0
+    for v in range(g.n):
+        if comp[v] < 0:
+            for u in range(v, g.n):
+                if reach[v][u]:
+                    comp[u] = nxt
+            nxt += 1
+    return comp
+
+
 def vertex(g: Graph, label: str) -> int:
     """Internal id of the vertex labeled ``label``."""
     return g.labels.index(label)

@@ -16,7 +16,6 @@ from blockimpact import (
     naive_articulation_points,
     rerooted_at,
 )
-from blockimpact.forest import build_forest_and_labeling
 
 from _helpers import (
     all_graphs_up_to,
@@ -167,14 +166,6 @@ class TestInvariants:
         for g in seeded_gnm_graphs(60, 40, rng):
             bf = build_block_forest(g)
             assert len(bf.roots) == connected_components(g).count
-
-    def test_build_with_labeling_matches_bfs_labeling(self):
-        rng = random.Random(30001)
-        for g in seeded_gnm_graphs(80, 50, rng):
-            _, cc = build_forest_and_labeling(g)
-            ref = connected_components(g)
-            assert cc.component_id == ref.component_id
-            assert cc.component_size == ref.component_size
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(0, 9), seed=st.integers(0, 2**32), density=st.floats(0, 1))

@@ -16,6 +16,7 @@ from blockimpact import (
     compute_sq_sizes,
     export_dot,
     parse_edge_list,
+    sweep,
 )
 from blockimpact.cli import run
 
@@ -372,6 +373,21 @@ class TestBench:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("value", ["inf", "1e400", "nan", "-1"])
+    def test_gnm_density_not_finite_or_negative(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "bench", "--family", "gnm", "--sizes", "10", "--m-per-n", value
+        )
+        assert code == 2
+        assert out == ""
+        assert "m-per-n must be a finite number >= 0" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("m_per_n", [float("inf"), float("nan"), -1.0])
+    def test_sweep_rejects_gnm_density(self, m_per_n):
+        with pytest.raises(ValueError, match="m-per-n must be a finite number >= 0"):
+            sweep("gnm", [10], m_per_n=m_per_n)
 
 
 class TestExitCodes:

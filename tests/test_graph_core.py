@@ -24,7 +24,7 @@ from blockimpact import (
 import blockimpact.graph as graph_mod
 from blockimpact.oracle import _labeling
 
-from _helpers import all_graphs_up_to, vertex
+from _helpers import all_graphs_up_to, closure_components, vertex
 
 
 class TestParseEdgeList:
@@ -310,29 +310,6 @@ class TestRoundTrip:
         assert g2.m == g.m == 2
 
 
-def _closure_components(g: Graph) -> list[int]:
-    # Warshall-style transitive closure, the brute-force reference.
-    reach = [[i == j for j in range(g.n)] for i in range(g.n)]
-    for u, v in g.edges:
-        reach[u][v] = reach[v][u] = True
-    for k in range(g.n):
-        for i in range(g.n):
-            if reach[i][k]:
-                row_i, row_k = reach[i], reach[k]
-                for j in range(g.n):
-                    if row_k[j]:
-                        row_i[j] = True
-    comp = [-1] * g.n
-    nxt = 0
-    for v in range(g.n):
-        if comp[v] < 0:
-            for u in range(v, g.n):
-                if reach[v][u]:
-                    comp[u] = nxt
-            nxt += 1
-    return comp
-
-
 class TestConnectedComponents:
     def test_path_one_component(self):
         cc = connected_components(generate(GeneratorSpec("path", 3)))
@@ -346,7 +323,7 @@ class TestConnectedComponents:
     def test_two_disjoint_triangles(self):
         g, _ = parse_edge_list("a b\nb c\nc a\nd e\ne f\nf d")
         cc = connected_components(g)
-        assert cc.component_id == _closure_components(g)
+        assert cc.component_id == closure_components(g)
         assert cc.component_size == [3, 3]
 
     def test_matches_closure_on_small_graphs(self):
@@ -356,13 +333,13 @@ class TestConnectedComponents:
             m = rng.randint(0, n * (n - 1) // 2)
             g = generate(GeneratorSpec("gnm", n, m=m, seed=rng.randrange(2**32)))
             cc = connected_components(g)
-            assert cc.component_id == _closure_components(g)
+            assert cc.component_id == closure_components(g)
             assert sum(cc.component_size) == g.n
 
     def test_exhaustive_tiny(self):
         for g in all_graphs_up_to(4):
             cc = connected_components(g)
-            assert cc.component_id == _closure_components(g)
+            assert cc.component_id == closure_components(g)
             assert sum(cc.component_size) == g.n
             # ids appear in first-visit order
             first_seen = []

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from blockimpact import (
     GeneratorSpec,
@@ -9,8 +10,18 @@ from blockimpact import (
     naive_impact,
     surviving_component_sizes,
 )
+from blockimpact.oracle import _labeling
 
-from _helpers import bowtie, graph_from, path6, pendant_triangle, seeded_gnm_graphs, vertex
+from _helpers import (
+    all_graphs_up_to,
+    bowtie,
+    closure_components,
+    graph_from,
+    path6,
+    pendant_triangle,
+    seeded_gnm_graphs,
+    vertex,
+)
 
 
 class TestSurvivingPieces:
@@ -25,6 +36,25 @@ class TestSurvivingPieces:
     def test_leaf(self):
         g = graph_from("a b\nb c")
         assert surviving_component_sizes(g, 0) == [2]
+
+    def test_matches_closure_on_small_graphs(self):
+        # The pieces of v's component minus v are the closure components of
+        # g without v's edges that hold a neighbour of v.
+        for g in all_graphs_up_to(5):
+            for v in range(g.n):
+                comp = closure_components(g, without=v)
+                hit = {comp[w] for w in g.nbr[g.indptr[v]:g.indptr[v + 1]]}
+                sizes = Counter(c for u, c in enumerate(comp) if u != v and c in hit)
+                assert sorted(surviving_component_sizes(g, v)) == sorted(sizes.values())
+
+
+class TestLabeling:
+    def test_matches_closure_on_small_graphs(self):
+        for g in all_graphs_up_to(5):
+            cc = _labeling(g)
+            comp = closure_components(g)
+            assert cc.component_id == comp
+            assert cc.component_size == [comp.count(c) for c in range(cc.count)]
 
 
 class TestNaiveImpact:
