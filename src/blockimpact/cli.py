@@ -34,6 +34,10 @@ from .graph import (
 from .impact import ImpactReport, compute_all_impacts, compute_sq_sizes
 from .oracle import naive_all_impacts
 
+# Report rows per out.write call. No string of all the rows is built, so the
+# output takes at most one slice's text beyond the report itself.
+ROWS_PER_WRITE = 4096
+
 TSV_COLUMNS = ("label", "impact", "is_articulation", "component_id", "component_size")
 
 # One vertex of the JSON report, byte for byte as json.dumps(..., indent=2)
@@ -160,35 +164,32 @@ def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     flag = report.is_articulation
     comp_id = report.component_id
     comp_size = report.component_size
+    slices = (order[lo:lo + ROWS_PER_WRITE] for lo in range(0, len(order), ROWS_PER_WRITE))
     if args.output == "tsv":
         summary = " ".join(f"{k}={v}" for k, v in _summary_pairs(report))
-        out.write("".join([
-            "\t".join(TSV_COLUMNS) + "\n",
-            *[
+        out.write("\t".join(TSV_COLUMNS) + "\n")
+        for part in slices:
+            out.write("".join([
                 f"{labels[v]}\t{impact[v]}\t{'true' if flag[v] else 'false'}"
                 f"\t{comp_id[v]}\t{comp_size[v]}\n"
-                for v in order
-            ],
-            f"# {summary}\n",
-        ]))
+                for v in part
+            ]))
+        out.write(f"# {summary}\n")
     else:
         # The bytes json.dumps(data, indent=2) writes, without its
         # pure-Python indenting encoder.
         dumps = json.dumps
         summary = ",\n".join(f"    {dumps(k)}: {dumps(v)}" for k, v in _summary_pairs(report))
-        rows = ",\n".join([
-            JSON_ROW % (dumps(labels[v]), impact[v], "true" if flag[v] else "false",
-                        comp_id[v], comp_size[v])
-            for v in order
-        ])
-        # The rows text is the one large string: write it as it is, not
-        # copied into a bigger one.
         out.write(f'{{\n  "summary": {{\n{summary}\n  }},\n  "vertices": [')
-        if rows:
-            out.write("\n")
-            out.write(rows)
-            out.write("\n  ")
-        out.write("]\n}\n")
+        lead = "\n"  # before the first row; later slices go on after a ","
+        for part in slices:
+            out.write(lead + ",\n".join([
+                JSON_ROW % (dumps(labels[v]), impact[v], "true" if flag[v] else "false",
+                            comp_id[v], comp_size[v])
+                for v in part
+            ]))
+            lead = ",\n"
+        out.write("\n  ]\n}\n" if order else "]\n}\n")
     return 0
 
 

@@ -7,6 +7,9 @@ their subtree square count. All trees land in one undirected DOT graph.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
+
 from .forest import BlockForest
 from .graph import Graph
 
@@ -15,17 +18,31 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(g: Graph, bf: BlockForest, sizes: list[int]) -> str:
+# Lines per join: the text is built from joins of this many lines, so no
+# list of every line is held next to it.
+LINES_PER_JOIN = 4096
+
+
+def _lines(g: Graph, bf: BlockForest, sizes: list[int]) -> Iterator[str]:
+    """The DOT text, one newline-terminated line at a time."""
     degs = bf.square_degrees()
-    lines = ["graph block_forest {"]
+    yield "graph block_forest {\n"
     for v in range(bf.n_squares):
         style = ", style=bold" if degs[v] >= 2 else ""
-        lines.append(f"  s{v} [shape=box{style}, label={_quote(g.labels[v])}];")
+        yield f"  s{v} [shape=box{style}, label={_quote(g.labels[v])}];\n"
     for r in range(bf.num_rounds):
         badge = sizes[bf.n_squares + r]
-        lines.append(f'  r{r} [shape=ellipse, label="{badge}"];')
+        yield f'  r{r} [shape=ellipse, label="{badge}"];\n'
     for r in range(bf.num_rounds):
         for v in bf.round_members(r):
-            lines.append(f"  s{v} -- r{r};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield f"  s{v} -- r{r};\n"
+    yield "}\n"
+
+
+def export_dot(g: Graph, bf: BlockForest, sizes: list[int]) -> str:
+    """The whole DOT text, built from joins of at most LINES_PER_JOIN lines."""
+    lines = _lines(g, bf, sizes)
+    chunks = []
+    while chunk := "".join(islice(lines, LINES_PER_JOIN)):
+        chunks.append(chunk)
+    return "".join(chunks)

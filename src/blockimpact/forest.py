@@ -126,8 +126,9 @@ def build_block_forest(g: Graph) -> BlockForest:
 
     One explicit-stack Hopcroft-Tarjan DFS per component, started in vertex
     order, with ``cursor[v]`` the next adjacency slot of v to scan; every
-    slot is read once, 2m in all. Tree and back edges go onto an edge stack
-    as (tail, head) pairs. A tree edge (p, v) whose child came back with
+    slot is read once, 2m in all. Tree and back edges go onto an edge stack,
+    a flat list of ints: the tail, then the head, so no pair object is
+    allocated per edge. A tree edge (p, v) whose child came back with
     lowpt(v) >= number(p) closes a block: the stacked edges with a tail
     discovered at or after v (everything pushed inside v's subtree) are
     drained, then the tree edge itself. Their endpoints, newest edge first,
@@ -147,7 +148,7 @@ def build_block_forest(g: Graph) -> BlockForest:
     member_add = member_flat.append
     member_indptr: list[int] = []
     roots: list[int] = []
-    edges: list[tuple[int, int]] = []
+    edges: list[int] = []  # tail, head, tail, head, ...
     push_edge = edges.append
     pop_edge = edges.pop
     timer = 0
@@ -174,7 +175,8 @@ def build_block_forest(g: Graph) -> BlockForest:
                     break
                 if nu < nv and u != p:
                     # Back edge to an ancestor (the other direction is skipped).
-                    push_edge((v, u))
+                    push_edge(v)
+                    push_edge(u)
                     if nu < low:
                         low = nu
             else:
@@ -190,7 +192,8 @@ def build_block_forest(g: Graph) -> BlockForest:
                 node = len(parent)
                 member_indptr.append(len(member_flat))
                 parent.append(p)
-                a, b = pop_edge()
+                b = pop_edge()
+                a = pop_edge()
                 while number[a] >= nv:
                     if parent[a] != node:
                         parent[a] = node
@@ -198,7 +201,8 @@ def build_block_forest(g: Graph) -> BlockForest:
                     if parent[b] != node:
                         parent[b] = node
                         member_add(b)
-                    a, b = pop_edge()
+                    b = pop_edge()
+                    a = pop_edge()
                 # (a, b) is the tree edge (p, v).
                 if parent[v] != node:
                     parent[v] = node
@@ -208,7 +212,8 @@ def build_block_forest(g: Graph) -> BlockForest:
                     member_add(p)
                 continue
             # Tree edge (v, u): suspend v, open u.
-            push_edge((v, u))
+            push_edge(v)
+            push_edge(u)
             cursor[v] = i
             lowpt[v] = low
             number[u] = lowpt[u] = timer

@@ -172,11 +172,13 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
     indptr = g.indptr
     nbr = g.nbr
     number = [-1] * n
+    # lowpt and cursor (the next adjacency slot to scan) are written when a
+    # vertex is suspended and read when it is resumed.
     lowpt = [0] * n
+    cursor = [0] * n
     comp = [0] * n
     cut_max = [0] * n
     cut_rest = [0] * n
-    cursor = indptr[:n]  # next adjacency slot to scan, per vertex
     sizes: list[int] = []
     timer = 0
     for s in range(n):
@@ -184,17 +186,18 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
             continue
         cid = len(sizes)
         first = timer
-        number[s] = lowpt[s] = timer
+        # The open vertex v and its scan state (i, end, low) live in locals;
+        # the stack holds only v's suspended ancestors.
+        v = s
+        i = indptr[s]
+        end = indptr[s + 1]
+        number[s] = low = timer
         timer += 1
         comp[s] = cid
-        stack = [s]
+        stack = [-1]  # under a sentinel for the root's missing parent
         push = stack.append
         pop = stack.pop
-        while stack:
-            v = stack[-1]
-            i = cursor[v]
-            end = indptr[v + 1]
-            low = lowpt[v]
+        while True:
             while i < end:
                 u = nbr[i]
                 i += 1
@@ -204,27 +207,35 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
                 if nu < low:
                     low = nu
             else:
-                # v is finished; its subtree holds everything numbered since v.
-                pop()
-                if stack:
-                    p = stack[-1]
-                    if low >= number[p]:
-                        size = timer - number[v]
-                        big = cut_max[p]
-                        if size > big:
-                            cut_max[p] = size
-                            size = big  # the old largest joins the rest
-                        cut_rest[p] += size
-                    elif low < lowpt[p]:
-                        lowpt[p] = low
+                # v is finished; its subtree holds everything numbered since
+                # v. Resume its parent p with v folded in.
+                p = pop()
+                if p < 0:
+                    break
+                if low >= number[p]:
+                    size = timer - number[v]
+                    big = cut_max[p]
+                    if size > big:
+                        cut_max[p] = size
+                        size = big  # the old largest joins the rest
+                    cut_rest[p] += size
+                    low = lowpt[p]
+                elif lowpt[p] < low:
+                    low = lowpt[p]
+                v = p
+                i = cursor[p]
+                end = indptr[p + 1]
                 continue
             # Tree edge (v, u): suspend v, open u.
             cursor[v] = i
             lowpt[v] = low
-            number[u] = lowpt[u] = timer
+            push(v)
+            v = u
+            i = indptr[u]
+            end = indptr[u + 1]
+            number[u] = low = timer
             timer += 1
             comp[u] = cid
-            push(u)
         sizes.append(timer - first)
     return CcLabeling(comp, sizes), cut_max, cut_rest
 

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -209,6 +210,14 @@ class TestReportOrder:
         path.write_text("".join(f"{a} {b}\n" for a, b in pairs), encoding="utf-8")
         report = compute_all_impacts(parse_edge_list(path.read_text(encoding="utf-8")).graph)
         assert report.labels == labels
+        flags = ("--all",) if all_vertices else ()
+        code, doc, _ = run_cli(capsys, "analyze", str(path), *flags, "--output", "json")
+        assert code == 0
+        assert doc == self.expected_outputs(report, all_vertices)["json"]
+
+    @staticmethod
+    def expected_outputs(report, all_vertices) -> dict[str, str]:
+        """The TSV and JSON reports, built row by row and by json.dumps."""
         order = sorted(range(report.n), key=lambda i: (-report.impact[i], report.labels[i]))
         if not all_vertices:
             order = [i for i in order if report.is_articulation[i]]
@@ -229,10 +238,34 @@ class TestReportOrder:
                 for i in order
             ],
         }
-        flags = ("--all",) if all_vertices else ()
-        code, doc, _ = run_cli(capsys, "analyze", str(path), *flags, "--output", "json")
-        assert code == 0
-        assert doc == json.dumps(data, indent=2) + "\n"
+        tsv = ["label\timpact\tis_articulation\tcomponent_id\tcomponent_size"]
+        tsv += [
+            f"{label}\t{impact}\t{str(flag).lower()}\t{cid}\t{size}"
+            for label, impact, flag, cid, size in (row.values() for row in data["vertices"])
+        ]
+        tsv.append("# " + " ".join(f"{k}={v}" for k, v in summary.items()))
+        return {"tsv": "\n".join(tsv) + "\n", "json": json.dumps(data, indent=2) + "\n"}
+
+    @pytest.mark.parametrize("output", ["tsv", "json"])
+    def test_rows_written_in_bounded_slices(self, monkeypatch, tmp_path, output):
+        # With three rows per write: no rows, fewer than a slice, exactly one
+        # and two slices, and a short last slice.
+        import blockimpact.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "ROWS_PER_WRITE", 3)
+        row_mark = "\t" if output == "tsv" else '"label": '
+        for n in (0, 1, 2, 3, 4, 6, 7):
+            path = tmp_path / f"path{n}.edges"
+            text = "v 0\n" if n == 1 else "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+            path.write_text(text)
+            writes: list[str] = []
+            monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+            assert run(["analyze", str(path), "--all", "--output", output]) == 0
+            report = compute_all_impacts(parse_edge_list(text).graph)
+            assert report.n == n
+            assert "".join(writes) == self.expected_outputs(report, True)[output], n
+            rows_per_write = [sum(row_mark in ln for ln in w.splitlines()) for w in writes]
+            assert max(rows_per_write) <= 3, (n, rows_per_write)
 
 
 class TestCheck:
@@ -306,6 +339,29 @@ class TestDot:
         assert len(nodes) + len(edges) == len(lines) - 2  # nothing unaccounted
         assert len(nodes) == g.n + bf.num_rounds
         assert len(edges) == len(bf.member_flat)
+
+    def test_text_built_from_bounded_joins(self, monkeypatch):
+        # With three lines per join, DOT texts of 2, 3, 4, 6, 7, 9 and 11
+        # lines, and the bowtie's, equal the text built line by line.
+        import blockimpact.dot as dot_mod
+
+        monkeypatch.setattr(dot_mod, "LINES_PER_JOIN", 3)
+        texts = ["", "v a\n", "v a\nv b\n", "v a\nv b\nv c\nv d\n", "a b\n",
+                 "a b\nb c\nc a\n", "a b\nb c\n", 'q"t b\\s\n']
+        for g in [parse_edge_list(t).graph for t in texts] + [bowtie()]:
+            bf = build_block_forest(g)
+            sizes = compute_sq_sizes(bf)
+            want = ["graph block_forest {"]
+            for v in range(g.n):
+                bold = ", style=bold" if bf.degree(v) >= 2 else ""
+                label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
+                want.append(f'  s{v} [shape=box{bold}, label="{label}"];')
+            for r in range(bf.num_rounds):
+                want.append(f'  r{r} [shape=ellipse, label="{sizes[g.n + r]}"];')
+            for r in range(bf.num_rounds):
+                want += [f"  s{v} -- r{r};" for v in bf.round_members(r)]
+            want.append("}")
+            assert export_dot(g, bf, sizes) == "".join(ln + "\n" for ln in want), g.labels
 
     def test_label_escaping(self, capsys, tmp_path):
         path = tmp_path / "weird.edges"
@@ -422,19 +478,23 @@ class TestExitCodes:
         with pytest.raises(ValueError, match="internal failure"):
             run(["analyze", str(DATA / "path6.edges")])
 
-    def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
-        # About 1 MB of rows, far more than a pipe buffers, so the writer is
-        # still writing when the reader goes away.
+    @pytest.mark.parametrize("output", ["tsv", "json"])
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path, output):
+        # About 1 MB of rows (TSV; JSON ~8 MB), far more than a pipe buffers,
+        # so the writer is still writing its row slices when the reader goes
+        # away.
         path = tmp_path / "path.edges"
         path.write_text("".join(f"{i} {i + 1}\n" for i in range(50_000)))
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.Popen(
-            [sys.executable, "-m", "blockimpact.cli", "analyze", "--all", str(path)],
+            [sys.executable, "-m", "blockimpact.cli", "analyze", "--all", "--output", output,
+             str(path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,
         )
-        assert proc.stdout.readline().startswith(b"label\timpact\t")
+        first_line = {"tsv": b"label\timpact\t", "json": b"{\n"}[output]
+        assert proc.stdout.readline().startswith(first_line)
         proc.stdout.close()
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
@@ -454,7 +514,7 @@ class TestExitCodes:
             path.write_text("p edge 67108864 0\n")
             args = ["--format", "dimacs", str(path)]
         else:
-            # 300 000 disjoint edges: ~194 MiB peak RSS uncapped.
+            # 300 000 disjoint edges: ~166 MiB peak RSS uncapped.
             path = tmp_path / "disjoint.edges"
             path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(300_000)))
             args = ["--all", str(path)]
