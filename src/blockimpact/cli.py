@@ -4,8 +4,9 @@ Subcommands: ``analyze`` prints the impact report, ``check`` cross-checks the
 fast path against the removal oracle, ``dot`` emits the block forest as
 Graphviz text, ``bench`` runs the scaling harness. Exit codes: 0 success
 (also when the reader closes stdout early, as ``| head`` does), 1 check
-mismatch, 2 usage or input errors, 3 out of memory. Any other exception is a
-program fault and is not reported as bad input.
+mismatch, 2 usage or input errors (among them an input too large for
+``check``'s oracle), 3 out of memory. Any other exception is a program fault
+and is not reported as bad input.
 """
 
 from __future__ import annotations
@@ -37,6 +38,16 @@ from .oracle import naive_all_impacts
 # Report rows per out.write call. No string of all the rows is built, so the
 # output takes at most one slice's text beyond the report itself.
 ROWS_PER_WRITE = 4096
+
+# Characters per out.write call for the DOT text, so the text layer encodes
+# one slice at a time, never a bytes copy of the whole text.
+CHARS_PER_WRITE = 1 << 16
+
+# The removal oracle behind ``check`` costs about ORACLE_NS_PER_UNIT
+# nanoseconds per unit of n(n + m); above CHECK_MAX_UNITS units (about ten
+# minutes) ``check`` refuses the input instead of running for hours.
+ORACLE_NS_PER_UNIT = 190
+CHECK_MAX_UNITS = 3 * 10**9
 
 TSV_COLUMNS = ("label", "impact", "is_articulation", "component_id", "component_size")
 
@@ -146,10 +157,10 @@ def _summary_pairs(report: ImpactReport) -> list[tuple[str, object]]:
     return pairs
 
 
-def _report_order(report: ImpactReport, all_vertices: bool) -> list[int]:
-    """Vertex ids by decreasing impact, ties by label; only articulation
-    points unless ``all_vertices``. Two stable sorts over the columns."""
-    labels = report.labels
+def _report_order(report: ImpactReport, labels: list[str], all_vertices: bool) -> list[int]:
+    """Vertex ids by decreasing impact, ties by label (``labels``, the
+    report's labels as a list); only articulation points unless
+    ``all_vertices``. Two stable sorts over the columns."""
     ids = range(report.n) if all_vertices else compress(range(report.n), report.is_articulation)
     order = sorted(ids, key=labels.__getitem__)
     order.sort(key=report.impact.__getitem__, reverse=True)
@@ -158,8 +169,8 @@ def _report_order(report: ImpactReport, all_vertices: bool) -> list[int]:
 
 def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     report = compute_all_impacts(_load_graph(args, err))
-    order = _report_order(report, args.all_vertices)
-    labels = report.labels
+    labels = list(report.labels)  # made once if made on read; read per row
+    order = _report_order(report, labels, args.all_vertices)
     impact = report.impact
     flag = report.is_articulation
     comp_id = report.component_id
@@ -222,6 +233,16 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(f"OK ({args.sweep} graphs)", file=out)
         return 0
     g = _load_graph(args, err)
+    units = g.n * (g.n + g.m)
+    if units > CHECK_MAX_UNITS:
+        hours = units * ORACLE_NS_PER_UNIT / 3.6e12
+        print(
+            f"error: check runs the O(n(n+m)) removal oracle: n={g.n}, m={g.m} would take"
+            f" about {hours:.1f} h at ~{ORACLE_NS_PER_UNIT} ns per n(n+m) unit"
+            f" (limit {CHECK_MAX_UNITS:.0e} units)",
+            file=err,
+        )
+        return 2
     mismatch = _first_mismatch(compute_all_impacts(g), naive_all_impacts(g))
     if mismatch:
         print(f"mismatch: {mismatch}", file=out)
@@ -234,7 +255,9 @@ def _cmd_dot(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = _load_graph(args, err)
     bf = build_block_forest(g)
     sizes = compute_sq_sizes(bf)
-    out.write(export_dot(g, bf, sizes))
+    text = export_dot(g, bf, sizes)
+    for lo in range(0, len(text), CHARS_PER_WRITE):
+        out.write(text[lo:lo + CHARS_PER_WRITE])
     return 0
 
 

@@ -27,9 +27,9 @@ def _lines(g: Graph, bf: BlockForest, sizes: list[int]) -> Iterator[str]:
     """The DOT text, one newline-terminated line at a time."""
     degs = bf.square_degrees()
     yield "graph block_forest {\n"
-    for v in range(bf.n_squares):
+    for v, label in enumerate(g.labels):
         style = ", style=bold" if degs[v] >= 2 else ""
-        yield f"  s{v} [shape=box{style}, label={_quote(g.labels[v])}];\n"
+        yield f"  s{v} [shape=box{style}, label={_quote(label)}];\n"
     for r in range(bf.num_rounds):
         badge = sizes[bf.n_squares + r]
         yield f'  r{r} [shape=ellipse, label="{badge}"];\n'

@@ -5,8 +5,12 @@ kept on the graph so every user-facing output can report them. Adjacency is
 stored CSR-style: ``indptr`` is a plain list, which the DFS-heavy code in the
 rest of the package indexes most, while the neighbour slots and the edge
 table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
-pointer plus one boxed int each. This module imports nothing else from the
-package; the component labeling lives in :mod:`blockimpact.impact`.
+pointer plus one boxed int each. Labels are a list of strings when they come
+from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
+``Graph.from_edges`` given a count, and so :func:`generate`) hold a
+:class:`DecimalLabels` instead, which makes each label when it is read. This
+module imports nothing else from the package; the component labeling lives in
+:mod:`blockimpact.impact`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ import io
 import math
 import random
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 GENERATOR_FAMILIES = ("gnm", "path", "star", "balanced-tree", "clique-chain")
@@ -28,6 +34,71 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
+
+
+class DecimalLabels(Sequence[str]):
+    """The labels ``str(first)``, ..., ``str(first + n - 1)``, each made when
+    it is read: an immutable sequence that stores two ints, not n strings.
+
+    Iteration runs at C speed (``map(str, range(...))``), so code that reads
+    every label should iterate, or take ``list(labels)`` once, rather than
+    index per vertex. ``index`` and ``in`` take O(1): a label is only the
+    canonical decimal form of an int in range (``"01"`` and ``"+1"`` are
+    not labels). It compares equal to any sequence of the same strings, in
+    either direction, and pickles as ``(first, n)``.
+    """
+
+    __slots__ = ("_ids",)
+
+    def __init__(self, first: int, n: int):
+        if n < 0:
+            raise ValueError("label count must be >= 0")
+        self._ids = range(first, first + n)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(str, self._ids[i]))
+        return str(self._ids[i])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(str, self._ids)
+
+    def _id(self, label: object) -> int | None:
+        """The int whose decimal form ``label`` is, if that int is in range."""
+        if type(label) is not str:
+            return None
+        try:
+            k = int(label)
+        except ValueError:
+            return None
+        return k if k in self._ids and str(k) == label else None
+
+    def __contains__(self, label: object) -> bool:
+        return self._id(label) is not None
+
+    def index(self, label: object, start: int = 0, stop: int | None = None) -> int:
+        k = self._id(label)
+        if k is not None:
+            i = k - self._ids.start
+            if i in range(len(self._ids))[start:stop]:
+                return i
+        raise ValueError(f"{label!r} is not in labels")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, DecimalLabels):
+            return self._ids == other._ids
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(other) == len(self._ids) and all(map(eq, self, other))
+
+    def __reduce__(self):
+        return DecimalLabels, (self._ids.start, len(self._ids))
+
+    def __repr__(self) -> str:
+        return f"DecimalLabels({self._ids.start}, {len(self._ids)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,16 +126,16 @@ class Graph:
     ) -> "Graph":
         """Build a graph from an edge list over 0-based vertex ids.
 
-        ``vertices`` is either a vertex count (labels default to the decimal
-        ids) or the full list of labels. Raises ValueError on a negative
-        count, repeated labels, out-of-range ids, self-loops, or repeated
-        edges: callers that accept dirty input (the parsers) are expected to
-        clean it first.
+        ``vertices`` is either a vertex count (labels are the decimal ids,
+        as a :class:`DecimalLabels`) or the full list of labels. Raises
+        ValueError on a negative count, repeated labels, out-of-range ids,
+        self-loops, or repeated edges: callers that accept dirty input (the
+        parsers) are expected to clean it first.
         """
         if isinstance(vertices, int):
             if vertices < 0:
                 raise ValueError("vertex count must be >= 0")
-            labels = [str(i) for i in range(vertices)]
+            labels: Sequence[str] = DecimalLabels(0, vertices)
         else:
             labels = list(vertices)
             if len(set(labels)) != len(labels):
@@ -102,12 +173,12 @@ class ParseResult(NamedTuple):
     dropped: int  # self-loop and duplicate-edge lines discarded
 
 
-# Largest vertex count a DIMACS ``p`` line may declare: the parser builds one
-# label per declared vertex, so the count is checked before any allocation.
+# Largest vertex count a DIMACS ``p`` line may declare: the CSR build
+# allocates per declared vertex, so the count is checked before any allocation.
 MAX_DIMACS_VERTICES = 2**26
 
 
-def _from_clean_edges(labels: list[str], ends: array) -> Graph:
+def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
     """The CSR graph over the flat edge table ``ends`` (``u0, w0, u1, w1,
     ...``), whose edges must already be in range, free of self-loops and
     distinct: the one CSR construction behind the parsers and
@@ -253,9 +324,8 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
             raise ParseError(f"unexpected line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing 'p' line")
-    del seen  # free the edge keys before the labels and the CSR are built
-    labels = [str(i) for i in range(1, n + 1)]
-    return ParseResult(_from_clean_edges(labels, ends), dropped)
+    del seen  # free the edge keys before the CSR is built
+    return ParseResult(_from_clean_edges(DecimalLabels(1, n), ends), dropped)
 
 
 def format_edge_list(g: Graph) -> str:
@@ -268,7 +338,7 @@ def format_edge_list(g: Graph) -> str:
     ValueError on a label that no line can carry (empty, or holding
     whitespace) and on an edge between two second-only labels.
     """
-    labels = g.labels
+    labels = list(g.labels)  # read per edge endpoint below
     # One C-level pass: the split gives back exactly the labels iff every
     # label is one non-empty, whitespace-free token.
     if " ".join(labels).split() != labels:

@@ -22,7 +22,9 @@ hold the DFS path against.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
 
 from .forest import BlockForest, build_block_forest
 from .graph import Graph
@@ -109,7 +111,7 @@ class ImpactReport:
     """Per-vertex impact records (column-oriented, indexed by internal vertex
     id) plus summary statistics."""
 
-    labels: list[str]
+    labels: Sequence[str]
     impact: list[int]
     is_articulation: list[bool]
     component_id: list[int]
@@ -123,7 +125,7 @@ class ImpactReport:
     @classmethod
     def from_columns(
         cls,
-        labels: list[str],
+        labels: Sequence[str],
         impact: list[int],
         is_articulation: list[bool],
         cc: CcLabeling,
@@ -134,10 +136,16 @@ class ImpactReport:
         comp_id = cc.component_id
         comp_size_col = [cc.component_size[c] for c in comp_id]
         max_impact = max(impact, default=0)
-        # Ties for the largest impact go to the smallest label.
-        max_label = min(
-            (lab for lab, imp in zip(labels, impact) if imp == max_impact), default=None
-        )
+        # Ties for the largest impact go to the smallest label. Labels may be
+        # made on read (DecimalLabels), so when few vertices tie only theirs
+        # are read, each found by a C-level scan; otherwise one pass over all.
+        tied = impact.count(max_impact)
+        if 4 * tied < n:
+            at = -1
+            ties = [at := impact.index(max_impact, at + 1) for _ in range(tied)]
+            max_label = min(map(labels.__getitem__, ties), default=None)
+        else:
+            max_label = min(compress(labels, map(max_impact.__eq__, impact)), default=None)
         return cls(
             labels=labels,
             impact=impact,
@@ -166,14 +174,18 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
     Keeping the largest piece apart from the rest, rather than next to the
     total, leaves the rest at the shared small int 0 for a vertex that cuts
     off a single piece (every inner vertex of a path), so only one int
-    object per such vertex is allocated.
+    object per such vertex is allocated. For the same reason a suspended
+    vertex records how many of its adjacency slots are left to scan, not
+    the position of the next one: below 257 that count is one of the
+    interpreter's shared small ints, while a position past 256 is an int
+    object of its own, kept alive as long as the vertex is suspended.
     """
     n = g.n
     indptr = g.indptr
     nbr = g.nbr
     number = [-1] * n
-    # lowpt and cursor (the next adjacency slot to scan) are written when a
-    # vertex is suspended and read when it is resumed.
+    # lowpt and cursor (how many adjacency slots are left to scan) are
+    # written when a vertex is suspended and read when it is resumed.
     lowpt = [0] * n
     cursor = [0] * n
     comp = [0] * n
@@ -223,11 +235,11 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
                 elif lowpt[p] < low:
                     low = lowpt[p]
                 v = p
-                i = cursor[p]
                 end = indptr[p + 1]
+                i = end - cursor[p]
                 continue
             # Tree edge (v, u): suspend v, open u.
-            cursor[v] = i
+            cursor[v] = end - i
             lowpt[v] = low
             push(v)
             v = u

@@ -299,6 +299,27 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
+    def test_input_beyond_the_oracle_exits_two(self, capsys, tmp_path):
+        # n(n + m) = 4.0e10 units: about 2.1 h of removal oracle.
+        path = tmp_path / "big.dimacs"
+        path.write_text("p edge 200000 1\ne 1 2\n")
+        code, out, err = run_cli(capsys, "check", "--format", "dimacs", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n=200000, m=1 " in err and "about 2.1 h" in err
+
+    def test_oracle_limit_is_inclusive(self, capsys, monkeypatch):
+        import blockimpact.cli as cli_mod
+
+        g = parse_edge_list((DATA / "multiblock.edges").read_text()).graph
+        units = g.n * (g.n + g.m)
+        monkeypatch.setattr(cli_mod, "CHECK_MAX_UNITS", units)
+        assert run_cli(capsys, "check", str(DATA / "multiblock.edges"))[:2] == (0, "OK\n")
+        monkeypatch.setattr(cli_mod, "CHECK_MAX_UNITS", units - 1)
+        code, out, err = run_cli(capsys, "check", str(DATA / "multiblock.edges"))
+        assert (code, out) == (2, "")
+        assert f"n={g.n}, m={g.m} " in err
+
 
 class TestDot:
     def test_bowtie_golden(self, capsys):

@@ -22,6 +22,7 @@ from blockimpact import (
 )
 
 import blockimpact.graph as graph_mod
+from blockimpact.graph import DecimalLabels
 from blockimpact.oracle import _labeling
 
 from _helpers import all_graphs_up_to, closure_components, vertex
@@ -216,7 +217,8 @@ class TestGraphInvariants:
 
 class TestStorage:
     """``nbr`` and ``ends`` are flat ``array("q")`` on every way a graph is
-    built; ``edges`` is derived from ``ends`` in recorded order."""
+    built; ``edges`` is derived from ``ends`` in recorded order. Labels are
+    a list only when they came from an edge list."""
 
     BUILDERS = {
         "edgelist": lambda: parse_edge_list("a b\nc a\nb c\nc d\nv e")[0],
@@ -224,14 +226,16 @@ class TestStorage:
         "from_edges": lambda: Graph.from_edges(5, [(0, 1), (2, 0), (1, 2), (2, 3)]),
         "generate": lambda: generate(GeneratorSpec("gnm", 30, m=50, seed=5)),
     }
+    LABELS = {"edgelist": list, "dimacs": DecimalLabels, "from_edges": DecimalLabels,
+              "generate": DecimalLabels}
 
-    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
-    def test_flat_int64_arrays(self, build):
-        g = build()
-        for name in ("nbr", "ends"):
-            field = getattr(g, name)
-            assert isinstance(field, array) and field.typecode == "q", name
-        assert type(g.indptr) is list and type(g.labels) is list
+    @pytest.mark.parametrize("name", BUILDERS)
+    def test_flat_int64_arrays(self, name):
+        g = self.BUILDERS[name]()
+        for field_name in ("nbr", "ends"):
+            field = getattr(g, field_name)
+            assert isinstance(field, array) and field.typecode == "q", field_name
+        assert type(g.indptr) is list and type(g.labels) is self.LABELS[name]
         assert len(g.ends) == 2 * g.m and len(g.nbr) == 2 * g.m
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
@@ -252,6 +256,66 @@ class TestStorage:
         again = pickle.loads(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
         assert again == g
         assert again.nbr.typecode == "q" and again.ends.typecode == "q"
+
+
+class TestDecimalLabels:
+    """Labels made on read behave as the list of the same strings would."""
+
+    def test_length_iteration_and_indexing(self):
+        labels = DecimalLabels(1, 12)
+        want = [str(i) for i in range(1, 13)]
+        assert len(labels) == 12 and list(labels) == want
+        assert [labels[i] for i in range(-12, 12)] == want + want
+        for i in (12, -13):
+            with pytest.raises(IndexError):
+                labels[i]
+        for part in (slice(2, 5), slice(None, None, -3), slice(-4, None), slice(5, 2)):
+            assert labels[part] == want[part], part
+        assert list(reversed(labels)) == want[::-1]
+        assert len(DecimalLabels(7, 0)) == 0 and list(DecimalLabels(7, 0)) == []
+        with pytest.raises(ValueError):
+            DecimalLabels(0, -1)
+
+    def test_index_and_membership(self):
+        labels = DecimalLabels(0, 12)
+        assert labels.index("0") == 0 and labels.index("11") == 11
+        assert labels.index("5", 3, 6) == 5 and labels.index("5", -7) == 5
+        assert "7" in labels and labels.count("7") == 1
+        # Not the decimal form of an id in range, or not a string at all.
+        for label in ("12", "01", "-1", "+1", " 1", "1_0", "1.0", "", "x", "٣", 3, None):
+            assert label not in labels, label
+            assert labels.count(label) == 0
+            with pytest.raises(ValueError):
+                labels.index(label)
+        with pytest.raises(ValueError):
+            labels.index("5", 6)
+        assert "-1" in DecimalLabels(-3, 4) and "0" not in DecimalLabels(1, 4)
+
+    def test_equality_with_sequences_both_ways(self):
+        labels = DecimalLabels(1, 3)
+        for same in (["1", "2", "3"], ("1", "2", "3"), DecimalLabels(1, 3)):
+            assert labels == same and same == labels
+            assert not labels != same and not same != labels
+        for other in (["1", "2"], ["1", "2", "4"], [1, 2, 3], DecimalLabels(0, 3), "123"):
+            assert labels != other and other != labels
+        assert DecimalLabels(0, 0) == [] == DecimalLabels(5, 0)
+        with pytest.raises(TypeError):
+            hash(labels)
+
+    def test_graph_equality_across_label_kinds(self):
+        edges = [(0, 1), (1, 2)]
+        counted = Graph.from_edges(3, edges)
+        assert counted == Graph.from_edges(["0", "1", "2"], edges)
+        assert Graph.from_edges(["0", "1", "2"], edges) == counted
+        assert counted != Graph.from_edges(["0", "1", "x"], edges)
+        assert parse_dimacs("p edge 3 2\ne 1 2\ne 2 3\n")[0] == parse_edge_list("1 2\n2 3")[0]
+
+    def test_pickle_stores_first_and_count(self):
+        labels = DecimalLabels(1, 5)
+        again = pickle.loads(pickle.dumps(labels))
+        assert type(again) is DecimalLabels and again == labels and list(again) == list(labels)
+        g = generate(GeneratorSpec("path", 2**20))
+        assert len(pickle.dumps(g.labels, protocol=pickle.HIGHEST_PROTOCOL)) < 100
 
 
 @st.composite
