@@ -43,11 +43,13 @@ ROWS_PER_WRITE = 4096
 # one slice at a time, never a bytes copy of the whole text.
 CHARS_PER_WRITE = 1 << 16
 
-# The removal oracle behind ``check`` costs about ORACLE_NS_PER_UNIT
-# nanoseconds per unit of n(n + m); above CHECK_MAX_UNITS units (about ten
-# minutes) ``check`` refuses the input instead of running for hours.
-ORACLE_NS_PER_UNIT = 190
-CHECK_MAX_UNITS = 3 * 10**9
+# The removal oracle behind ``check`` costs up to about ORACLE_NS_PER_UNIT
+# nanoseconds per unit of n(n + m) (190-250 ns measured on gnm, path, star,
+# clique-chain and balanced-tree graphs); above CHECK_MAX_UNITS units (about
+# ten minutes at that rate) ``check`` refuses the input instead of running
+# for hours.
+ORACLE_NS_PER_UNIT = 250
+CHECK_MAX_UNITS = 24 * 10**8
 
 TSV_COLUMNS = ("label", "impact", "is_articulation", "component_id", "component_size")
 
@@ -239,7 +241,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(
             f"error: check runs the O(n(n+m)) removal oracle: n={g.n}, m={g.m} would take"
             f" about {hours:.1f} h at ~{ORACLE_NS_PER_UNIT} ns per n(n+m) unit"
-            f" (limit {CHECK_MAX_UNITS:.0e} units)",
+            f" (limit {CHECK_MAX_UNITS:.1e} units)",
             file=err,
         )
         return 2

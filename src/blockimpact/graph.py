@@ -109,8 +109,9 @@ class Graph:
     edge appears there exactly twice, once per endpoint. Edge ``e`` is
     ``(ends[2*e], ends[2*e+1])`` as first recorded, and edge ids index
     ``ends`` alone: the adjacency does not carry them. ``nbr`` and ``ends``
-    are ``array("q")``; ``indptr`` and ``labels`` are lists. There are no
-    self-loops and no parallel edges.
+    are ``array("q")``; ``indptr`` is a list, and ``labels`` a list of
+    strings or a :class:`DecimalLabels`. There are no self-loops and no
+    parallel edges.
     """
 
     n: int
@@ -118,11 +119,11 @@ class Graph:
     indptr: list[int]
     nbr: array  # typecode "q": neighbour slots, CSR order
     ends: array  # typecode "q": u0, w0, u1, w1, ... in recorded edge order
-    labels: list[str]  # internal id -> original label
+    labels: Sequence[str]  # internal id -> original label
 
     @classmethod
     def from_edges(
-        cls, vertices: int | list[str], edges: Iterable[tuple[int, int]]
+        cls, vertices: int | Sequence[str], edges: Iterable[tuple[int, int]]
     ) -> "Graph":
         """Build a graph from an edge list over 0-based vertex ids.
 

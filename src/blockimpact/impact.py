@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
 
 from .forest import BlockForest, build_block_forest
 from .graph import Graph
@@ -137,15 +136,12 @@ class ImpactReport:
         comp_size_col = [cc.component_size[c] for c in comp_id]
         max_impact = max(impact, default=0)
         # Ties for the largest impact go to the smallest label. Labels may be
-        # made on read (DecimalLabels), so when few vertices tie only theirs
-        # are read, each found by a C-level scan; otherwise one pass over all.
-        tied = impact.count(max_impact)
-        if 4 * tied < n:
-            at = -1
-            ties = [at := impact.index(max_impact, at + 1) for _ in range(tied)]
-            max_label = min(map(labels.__getitem__, ties), default=None)
-        else:
-            max_label = min(compress(labels, map(max_impact.__eq__, impact)), default=None)
+        # made on read (DecimalLabels), so only the tied vertices' labels are
+        # read; each index call resumes where the last stopped, one C-level
+        # pass over impact in all.
+        at = -1
+        ties = [at := impact.index(max_impact, at + 1) for _ in range(impact.count(max_impact))]
+        max_label = min(map(labels.__getitem__, ties), default=None)
         return cls(
             labels=labels,
             impact=impact,

@@ -300,13 +300,13 @@ class TestCheck:
         assert "error" in err
 
     def test_input_beyond_the_oracle_exits_two(self, capsys, tmp_path):
-        # n(n + m) = 4.0e10 units: about 2.1 h of removal oracle.
+        # n(n + m) = 4.0e10 units: about 2.8 h of removal oracle.
         path = tmp_path / "big.dimacs"
         path.write_text("p edge 200000 1\ne 1 2\n")
         code, out, err = run_cli(capsys, "check", "--format", "dimacs", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "n=200000, m=1 " in err and "about 2.1 h" in err
+        assert "n=200000, m=1 " in err and "about 2.8 h" in err
 
     def test_oracle_limit_is_inclusive(self, capsys, monkeypatch):
         import blockimpact.cli as cli_mod

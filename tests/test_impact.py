@@ -143,21 +143,17 @@ class TestComputeAllImpacts:
                     assert report.impact[v] == 0
 
     def test_max_impact_label_is_the_smallest_tied_label(self):
-        # Few ties (a scan for the tied vertices) and many (one pass over all
-        # labels), on DecimalLabels and on label lists, with string order
-        # unlike id order: on a 20-vertex path "10" ties with "9" and wins.
+        # Few ties and many, on DecimalLabels and on label lists, with string
+        # order unlike id order: on a 20-vertex path "10" ties with "9" and wins.
         graphs = [generate(GeneratorSpec("path", n)) for n in (1, 2, 12, 20)]
         graphs += seeded_gnm_graphs(80, 30, random.Random(5))
-        few = 0
         for g in graphs:
             relabeled = Graph.from_edges([str(g.n - v) for v in range(g.n)], g.edges)
             for h in (g, relabeled):
                 report = compute_all_impacts(h)
                 tied = [lab for lab, x in zip(h.labels, report.impact) if x == report.max_impact]
                 assert report.max_impact_label == min(tied), (h, report.impact)
-                few += 4 * len(tied) < h.n
         assert compute_all_impacts(graphs[3]).max_impact_label == "10"
-        assert 0 < few < 2 * len(graphs)
 
     def test_report_columns(self):
         report = compute_all_impacts(path6())
