@@ -7,8 +7,8 @@ a DFS child whose lowpoint does not reach above its parent hangs below that
 parent as one piece of the size of its subtree. The block forest (square
 nodes = vertices, round nodes = biconnected components, built by one DFS
 with an edge stack) serves the structure queries, ``dot`` export, and the
-paper's subtree-size method, kept as a second linear-time oracle. A
-brute-force removal oracle ships alongside for verification.
+paper's subtree-size method, which the tests use as a second linear-time
+oracle. A brute-force removal oracle ships alongside for verification.
 """
 
 from .bench import sweep, time_all_impacts

@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dot", help="emit the block forest as Graphviz DOT")
     add_input_opts(p)
 
-    p = sub.add_parser("bench", help="time the pipeline over a size sweep")
+    p = sub.add_parser("bench", help="time compute_all_impacts over a size sweep")
     p.add_argument("--family", choices=GENERATOR_FAMILIES, default="path")
     p.add_argument(
         "--sizes",
@@ -218,10 +218,29 @@ def _first_mismatch(fast: ImpactReport, naive: ImpactReport) -> str | None:
     return None
 
 
+def _refused_by_oracle_limit(n: int, m: int, err: TextIO) -> bool:
+    """Whether the removal oracle on n vertices and m edges is over
+    CHECK_MAX_UNITS; if so, one line on ``err`` says so."""
+    units = n * (n + m)
+    if units <= CHECK_MAX_UNITS:
+        return False
+    hours = units * ORACLE_NS_PER_UNIT / 3.6e12
+    print(
+        f"error: check runs the O(n(n+m)) removal oracle: n={n}, m={m} would take"
+        f" about {hours:.1f} h at ~{ORACLE_NS_PER_UNIT} ns per n(n+m) unit"
+        f" (limit {CHECK_MAX_UNITS:.1e} units)",
+        file=err,
+    )
+    return True
+
+
 def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.sweep is not None:
         if args.sweep < 1 or args.n_max < 1:
             print("error: --sweep and --n-max must be positive", file=err)
+            return 2
+        # The largest graph a sweep may draw is complete.
+        if _refused_by_oracle_limit(args.n_max, args.n_max * (args.n_max - 1) // 2, err):
             return 2
         rng = random.Random(args.seed)
         for i in range(args.sweep):
@@ -235,15 +254,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         print(f"OK ({args.sweep} graphs)", file=out)
         return 0
     g = _load_graph(args, err)
-    units = g.n * (g.n + g.m)
-    if units > CHECK_MAX_UNITS:
-        hours = units * ORACLE_NS_PER_UNIT / 3.6e12
-        print(
-            f"error: check runs the O(n(n+m)) removal oracle: n={g.n}, m={g.m} would take"
-            f" about {hours:.1f} h at ~{ORACLE_NS_PER_UNIT} ns per n(n+m) unit"
-            f" (limit {CHECK_MAX_UNITS:.1e} units)",
-            file=err,
-        )
+    if _refused_by_oracle_limit(g.n, g.m, err):
         return 2
     mismatch = _first_mismatch(compute_all_impacts(g), naive_all_impacts(g))
     if mismatch:

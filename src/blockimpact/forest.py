@@ -56,24 +56,6 @@ class BlockForest:
     def round_members(self, r: int) -> list[int]:
         return self.member_flat[self.member_indptr[r]:self.member_indptr[r + 1]]
 
-    def _ensure_square_csr(self) -> None:
-        if self._square_indptr is not None:
-            return
-        n = self.n_squares
-        indptr = [0, *accumulate(self.square_degrees())]
-        out = [0] * indptr[n]
-        cursor = indptr[:n]
-        flat = self.member_flat
-        start = self.member_indptr
-        for r in range(self.num_rounds):
-            node = self.n_squares + r
-            for i in range(start[r], start[r + 1]):
-                v = flat[i]
-                out[cursor[v]] = node
-                cursor[v] += 1
-        self._square_indptr = indptr
-        self._square_rounds = out
-
     @property
     def edge_round(self) -> list[int]:
         """Edge id -> the unique round node whose block contains the edge.
@@ -96,8 +78,17 @@ class BlockForest:
 
     def square_rounds(self, v: int) -> list[int]:
         """Absolute ids of the round nodes whose block contains vertex v."""
-        self._ensure_square_csr()
-        assert self._square_indptr is not None and self._square_rounds is not None
+        if self._square_indptr is None:  # built on first use; later re-rootings share it
+            n = self.n_squares
+            indptr = [0, *accumulate(self.square_degrees())]
+            out = [0] * indptr[n]
+            cursor = indptr[:n]
+            for r in range(self.num_rounds):
+                for u in self.round_members(r):
+                    out[cursor[u]] = n + r
+                    cursor[u] += 1
+            self._square_indptr = indptr
+            self._square_rounds = out
         return self._square_rounds[self._square_indptr[v]:self._square_indptr[v + 1]]
 
     def square_degrees(self) -> list[int]:
@@ -106,19 +97,6 @@ class BlockForest:
         for v in self.member_flat:
             counts[v] += 1
         return counts
-
-    def neighbors(self, node: int) -> list[int]:
-        if node < self.n_squares:
-            return self.square_rounds(node)
-        return self.round_members(node - self.n_squares)
-
-    def degree(self, node: int) -> int:
-        if node < self.n_squares:
-            self._ensure_square_csr()
-            assert self._square_indptr is not None
-            return self._square_indptr[node + 1] - self._square_indptr[node]
-        r = node - self.n_squares
-        return self.member_indptr[r + 1] - self.member_indptr[r]
 
 
 def build_block_forest(g: Graph) -> BlockForest:

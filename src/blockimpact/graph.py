@@ -165,9 +165,6 @@ class Graph:
         ends = self.ends
         return list(zip(ends[0::2], ends[1::2]))
 
-    def degree(self, v: int) -> int:
-        return self.indptr[v + 1] - self.indptr[v]
-
 
 class ParseResult(NamedTuple):
     graph: Graph

@@ -15,9 +15,8 @@ The paper's method gets the same pieces from the rooted block forest: one per
 child block of v's square node, plus the piece "above" v through its parent,
 all read off the square counts of one subtree-size sweep,
 :func:`compute_sq_sizes`, which holds under any rooting of the forest. It
-stays here for ``dot`` and as a second linear-time oracle,
-:func:`forest_impacts` (sizes, then :func:`impact_vector`), that the tests
-hold the DFS path against.
+stays here for ``dot`` and, chained into :func:`impact_vector`, as the
+second linear-time oracle that the tests hold the DFS path against.
 """
 
 from __future__ import annotations
@@ -38,13 +37,6 @@ class CcLabeling:
 
     component_id: list[int]  # per vertex
     component_size: list[int]  # per component
-
-    @property
-    def count(self) -> int:
-        return len(self.component_size)
-
-    def size_of(self, v: int) -> int:
-        return self.component_size[self.component_id[v]]
 
 
 def compute_sq_sizes(bf: BlockForest) -> list[int]:
@@ -278,16 +270,11 @@ def compute_all_impacts(g: Graph) -> ImpactReport:
 def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
     """The block forest and the component labeling, each from its own DFS.
 
-    A seam for tracing, not a fused pass: the benchmark's tracer wraps
-    ``impact.build_forest_and_labeling`` by name and reads the forest as
-    ``result[0]``. It lives here, not in :mod:`blockimpact.forest`, because
-    the labeling comes from this module, which imports that one.
+    A seam for tracing, not a fused pass: the tests' forest oracle calls it,
+    and the benchmark's tracer wraps ``impact.build_forest_and_labeling`` by
+    name and reads the forest as ``result[0]``. It lives here, not in
+    :mod:`blockimpact.forest`, because the labeling comes from this module,
+    which imports that one.
     """
     return build_block_forest(g), connected_components(g)
 
-
-def forest_impacts(g: Graph) -> tuple[list[int], CcLabeling]:
-    """Impacts by the paper's block-forest method, components from the
-    lowpoint DFS: the second linear-time oracle for :func:`compute_all_impacts`."""
-    bf, cc = build_forest_and_labeling(g)
-    return impact_vector(bf, compute_sq_sizes(bf), cc), cc

@@ -1,4 +1,5 @@
-"""Shared fixtures: named small graphs, corpora, and the structural validator."""
+"""Shared fixtures: named small graphs, corpora, the structural validator,
+and the paper's block-forest method as a second linear-time oracle."""
 
 from __future__ import annotations
 
@@ -6,12 +7,14 @@ import itertools
 
 from blockimpact import (
     BlockForest,
+    CcLabeling,
     Graph,
     articulation_points,
     compute_sq_sizes,
     connected_components,
     generate,
     GeneratorSpec,
+    impact,
     naive_articulation_points,
     parse_edge_list,
 )
@@ -42,6 +45,23 @@ def pendant_triangle() -> Graph:
 
 def multiblock() -> Graph:
     return graph_from(MULTIBLOCK_TEXT)
+
+
+def forest_impacts(g: Graph) -> tuple[list[int], CcLabeling]:
+    """Impacts by the paper's block-forest method, components from the
+    lowpoint DFS: the second linear-time oracle for ``compute_all_impacts``.
+    Each step is looked up on :mod:`blockimpact.impact` when called, so the
+    benchmark's tracer, which rebinds them there, sees all three."""
+    bf, cc = impact.build_forest_and_labeling(g)
+    return impact.impact_vector(bf, impact.compute_sq_sizes(bf), cc), cc
+
+
+def forest_neighbors(bf: BlockForest, node: int) -> list[int]:
+    """The forest nodes adjacent to ``node``: a square's rounds, or a
+    round's member squares."""
+    if node < bf.n_squares:
+        return bf.square_rounds(node)
+    return bf.round_members(node - bf.n_squares)
 
 
 def all_graphs_up_to(max_n: int):
@@ -166,7 +186,7 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         stack = [root]
         while stack:
             x = stack.pop()
-            for y in bf.neighbors(x):
+            for y in forest_neighbors(bf, x):
                 if y != bf.parent[x]:
                     assert not seen[y], "cycle or duplicate edge in the forest"
                     assert bf.parent[y] == x
@@ -176,10 +196,10 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
 
     # Roots are rounds except singleton-square trees; one tree per component.
     cc = connected_components(g)
-    assert len(bf.roots) == cc.count
+    assert len(bf.roots) == len(cc.component_size)
     for root in bf.roots:
         if root < n:
-            assert g.degree(root) == 0
+            assert g.indptr[root + 1] == g.indptr[root]
 
     # Articulation points: non-leaf squares, and the removal oracle agrees.
     aps = articulation_points(bf)
@@ -212,9 +232,10 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         assert sq[x] == child_sum[x] + (1 if x < n else 0)
     for root in bf.roots:
         if root < n:
-            assert sq[root] == 1 == cc.size_of(root)
+            assert sq[root] == 1 == cc.component_size[cc.component_id[root]]
         else:
-            assert sq[root] == cc.size_of(bf.round_members(root - n)[0])
+            anyv = bf.round_members(root - n)[0]
+            assert sq[root] == cc.component_size[cc.component_id[anyv]]
 
     if removal_checks:
         # Blocks with >= 3 vertices survive any single-vertex removal;
@@ -224,9 +245,9 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
             if len(mem) >= 3:
                 for v in mem:
                     assert induced_connected_without(g, mem, v)
-        base = cc.count
+        base = len(cc.component_size)
         for e in range(g.m):
             node = bf.edge_round[e]
-            two = bf.degree(node) == 2
+            two = len(bf.round_members(node - n)) == 2
             split = components_without_edge(g, e) > base
             assert two == split

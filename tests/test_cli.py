@@ -320,6 +320,31 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert f"n={g.n}, m={g.m} " in err
 
+    def test_sweep_beyond_the_oracle_exits_two(self, capsys, monkeypatch):
+        # --n-max 100000 allows a complete graph of 5.0e9 edges, 5.0e14
+        # units: refused before any graph is drawn.
+        import blockimpact.cli as cli_mod
+
+        def no_graph(spec):
+            raise AssertionError(f"generated {spec}")
+
+        monkeypatch.setattr(cli_mod, "generate", no_graph)
+        code, out, err = run_cli(capsys, "check", "--sweep", "1", "--n-max", "100000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n=100000, m=4999950000 " in err and "(limit 2.4e+09 units)" in err
+
+    def test_sweep_limit_counts_the_complete_graph(self, capsys, monkeypatch):
+        # --n-max 5 allows K5: 5 * (5 + 10) = 75 units.
+        import blockimpact.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "CHECK_MAX_UNITS", 75)
+        assert run_cli(capsys, "check", "--sweep", "3", "--n-max", "5")[:2] == (0, "OK (3 graphs)\n")
+        monkeypatch.setattr(cli_mod, "CHECK_MAX_UNITS", 74)
+        code, out, err = run_cli(capsys, "check", "--sweep", "3", "--n-max", "5")
+        assert (code, out) == (2, "")
+        assert "n=5, m=10 " in err
+
 
 class TestDot:
     def test_bowtie_golden(self, capsys):
@@ -374,7 +399,7 @@ class TestDot:
             sizes = compute_sq_sizes(bf)
             want = ["graph block_forest {"]
             for v in range(g.n):
-                bold = ", style=bold" if bf.degree(v) >= 2 else ""
+                bold = ", style=bold" if len(bf.square_rounds(v)) >= 2 else ""
                 label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
                 want.append(f'  s{v} [shape=box{bold}, label="{label}"];')
             for r in range(bf.num_rounds):

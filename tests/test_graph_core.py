@@ -28,11 +28,15 @@ from blockimpact.oracle import _labeling
 from _helpers import all_graphs_up_to, closure_components, vertex
 
 
+def degrees(g: Graph) -> list[int]:
+    return [b - a for a, b in zip(g.indptr, g.indptr[1:])]
+
+
 class TestParseEdgeList:
     def test_two_edge_path(self):
         g, dropped = parse_edge_list("0 1\n1 2")
         assert (g.n, g.m, dropped) == (3, 2, 0)
-        assert sorted(g.degree(v) for v in range(3)) == [1, 1, 2]
+        assert sorted(degrees(g)) == [1, 1, 2]
 
     def test_duplicates_collapse_both_orientations(self):
         g, dropped = parse_edge_list("a b\na b\nb a")
@@ -46,7 +50,7 @@ class TestParseEdgeList:
         g, dropped = parse_edge_list("# header\n\nv lonely\na b\n   \n# tail\n")
         assert (g.n, g.m, dropped) == (3, 1, 0)
         assert vertex(g, "lonely") == 0
-        assert g.degree(vertex(g, "lonely")) == 0
+        assert degrees(g)[vertex(g, "lonely")] == 0
 
     def test_empty_input_is_empty_graph(self):
         g, dropped = parse_edge_list("")
@@ -212,7 +216,7 @@ class TestGraphInvariants:
     def test_adjacency_slice_in_edge_order(self):
         g, _ = parse_edge_list("a b\na c")
         assert list(g.nbr[g.indptr[0]:g.indptr[1]]) == [1, 2]
-        assert g.degree(0) == 2
+        assert degrees(g)[0] == 2
 
 
 class TestStorage:
@@ -377,12 +381,12 @@ class TestRoundTrip:
 class TestConnectedComponents:
     def test_path_one_component(self):
         cc = connected_components(generate(GeneratorSpec("path", 3)))
-        assert cc.count == 1 and cc.component_size == [3]
+        assert cc.component_size == [3]
 
     def test_isolated_vertices(self):
         g, _ = parse_dimacs("p edge 4 0")
         cc = connected_components(g)
-        assert cc.count == 4 and cc.component_size == [1, 1, 1, 1]
+        assert cc.component_size == [1, 1, 1, 1]
 
     def test_two_disjoint_triangles(self):
         g, _ = parse_edge_list("a b\nb c\nc a\nd e\ne f\nf d")
@@ -410,7 +414,7 @@ class TestConnectedComponents:
             for c in cc.component_id:
                 if c not in first_seen:
                     first_seen.append(c)
-            assert first_seen == list(range(cc.count))
+            assert first_seen == list(range(len(cc.component_size)))
 
     @pytest.mark.parametrize(
         "spec",
@@ -439,17 +443,17 @@ class TestGenerate:
     def test_path(self):
         g = generate(GeneratorSpec("path", 5))
         assert (g.n, g.m) == (5, 4)
-        assert max(g.degree(v) for v in range(5)) == 2
+        assert max(degrees(g)) == 2
 
     def test_star(self):
         g = generate(GeneratorSpec("star", 6))
-        degs = sorted(g.degree(v) for v in range(6))
+        degs = sorted(degrees(g))
         assert degs == [1, 1, 1, 1, 1, 5]
 
     def test_gnm_forced_complete(self):
         g = generate(GeneratorSpec("gnm", 10, m=45, seed=3))
         assert g.m == 45
-        assert all(g.degree(v) == 9 for v in range(10))
+        assert degrees(g) == [9] * 10
 
     def test_balanced_tree_shape(self):
         g = generate(GeneratorSpec("balanced-tree", 7, k=2))
@@ -500,6 +504,6 @@ class TestGenerate:
             n = 1 + (k - 1) * max(0, (n - 1) // (k - 1))
         spec = GeneratorSpec(family, n, m=m, k=k, seed=seed)
         g = generate(spec)
-        assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+        assert sum(degrees(g)) == 2 * g.m
         again = generate(spec)
         assert again.edges == g.edges

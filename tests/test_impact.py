@@ -20,15 +20,16 @@ from blockimpact import (
     rerooted_at,
     surviving_component_sizes,
 )
-from blockimpact.impact import forest_impacts
 
-from _helpers import all_graphs_up_to, bowtie, graph_from, path6, seeded_gnm_graphs, vertex
-
-
-def fast_impacts(g):
-    bf = build_block_forest(g)
-    cc = connected_components(g)
-    return impact_vector(bf, compute_sq_sizes(bf), cc)
+from _helpers import (
+    all_graphs_up_to,
+    bowtie,
+    forest_impacts,
+    graph_from,
+    path6,
+    seeded_gnm_graphs,
+    vertex,
+)
 
 
 class TestSqSizes:
@@ -64,7 +65,7 @@ class TestSqSizes:
             cc = connected_components(g)
             for root in bf.roots:
                 anyv = root if root < g.n else bf.round_members(root - g.n)[0]
-                assert sq[root] == cc.size_of(anyv)
+                assert sq[root] == cc.component_size[cc.component_id[anyv]]
 
     def test_rerooting_at_a_root_keeps_sizes(self):
         rng = random.Random(456)
@@ -84,21 +85,21 @@ class TestSqSizes:
 class TestComputeImpact:
     def test_path5_center(self):
         g = graph_from("a b\nb c\nc d\nd e")
-        assert fast_impacts(g)[vertex(g, "c")] == 2
+        assert forest_impacts(g)[0][vertex(g, "c")] == 2
 
     def test_star_center(self):
         g = generate(GeneratorSpec("star", 5))
-        assert fast_impacts(g)[0] == 3
+        assert forest_impacts(g)[0][0] == 3
 
     def test_bowtie_center_matches_oracle(self):
         g = bowtie()
         c = vertex(g, "c")
         assert naive_impact(g, c) == 2
-        assert fast_impacts(g)[c] == 2
+        assert forest_impacts(g)[0][c] == 2
 
     def test_triangle_all_zero(self):
         g = graph_from("a b\nb c\nc a")
-        assert fast_impacts(g) == [0, 0, 0]
+        assert forest_impacts(g)[0] == [0, 0, 0]
 
 
 class TestComputeAllImpacts:
@@ -126,7 +127,7 @@ class TestComputeAllImpacts:
         report = compute_all_impacts(g)
         cc = connected_components(g)
         assert report.component_id == cc.component_id
-        assert report.component_size == [cc.size_of(v) for v in range(g.n)]
+        assert report.component_size == [cc.component_size[c] for c in cc.component_id]
 
     def test_report_invariants(self):
         rng = random.Random(777)
@@ -168,7 +169,7 @@ class TestDecompositionIdentity:
         sq = compute_sq_sizes(bf)
         cc = connected_components(g)
         for v in range(g.n):
-            comp = cc.size_of(v)
+            comp = cc.component_size[cc.component_id[v]]
             pieces = [comp - sq[v]]
             pieces += [
                 sq[node] for node in bf.square_rounds(v) if bf.parent[node] == v
@@ -220,7 +221,7 @@ class TestOracleEquivalence:
         rng = random.Random(5)
         for g in seeded_gnm_graphs(60, 40, rng):
             bf = build_block_forest(g)
-            impacts = fast_impacts(g)
+            impacts = forest_impacts(g)[0]
             assert {v for v in range(g.n) if impacts[v] >= 1} == articulation_points(bf)
 
 
@@ -279,7 +280,7 @@ def assert_dfs_matches_forest(g):
     impacts, cc = forest_impacts(g)
     assert report.impact == impacts
     assert report.component_id == cc.component_id
-    assert report.component_size == [cc.size_of(v) for v in range(g.n)]
+    assert report.component_size == [cc.component_size[c] for c in cc.component_id]
     assert report.is_articulation == [x > 0 for x in impacts]
 
 

@@ -13,7 +13,7 @@ for path in (str(ROOT), str(ROOT / "src")):
 from blockimpact import cli, impact  # noqa: E402
 from perfbench.tracing import Tracer, rebound  # noqa: E402
 
-from _helpers import bowtie  # noqa: E402
+from _helpers import bowtie, forest_impacts  # noqa: E402
 
 
 def test_rebound_wraps_entry_points_and_restores_them():
@@ -21,7 +21,7 @@ def test_rebound_wraps_entry_points_and_restores_them():
     tracer = Tracer("t")
     with rebound(tracer):
         assert cli.build_block_forest is not before[cli]["build_block_forest"]
-        impacts, _ = impact.forest_impacts(bowtie())
+        impacts, _ = forest_impacts(bowtie())
     assert impacts == [0, 0, 2, 0, 0]
     assert [s["name"] for s in tracer.spans if s["name"] != "trace.counters"] == [
         "forest.build_forest_and_labeling",
