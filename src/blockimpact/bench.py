@@ -2,17 +2,15 @@
 
 Graph generation happens outside the measured region; only the analysis
 (:func:`compute_all_impacts`: one lowpoint DFS, the impacts and the report)
-is timed.
-GC is paused inside the timed region, as timeit does, so allocator pauses do
-not land on individual rows.
+is timed, by :mod:`timeit`, which also pauses GC inside each timed run, so
+allocator pauses do not land on individual rows.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 import statistics
-import time
+import timeit
 from dataclasses import dataclass
 
 from .graph import GeneratorSpec, Graph, generate
@@ -30,17 +28,7 @@ class BenchRow:
 
 def time_all_impacts(g: Graph, repeats: int = 1) -> float:
     """Median wall time of compute_all_impacts over ``repeats`` runs."""
-    times = []
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            compute_all_impacts(g)
-            times.append(time.perf_counter() - t0)
-    finally:
-        if was_enabled:
-            gc.enable()
+    times = timeit.repeat(lambda: compute_all_impacts(g), number=1, repeat=repeats)
     return statistics.median(times)
 
 

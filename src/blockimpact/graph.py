@@ -42,10 +42,8 @@ class DecimalLabels(Sequence[str]):
 
     Iteration runs at C speed (``map(str, range(...))``), so code that reads
     every label should iterate, or take ``list(labels)`` once, rather than
-    index per vertex. ``index`` and ``in`` take O(1): a label is only the
-    canonical decimal form of an int in range (``"01"`` and ``"+1"`` are
-    not labels). It compares equal to any sequence of the same strings, in
-    either direction, and pickles as ``(first, n)``.
+    index per vertex. It compares equal to any sequence of the same strings,
+    in either direction, and pickles as ``(first, n)``.
     """
 
     __slots__ = ("_ids",)
@@ -65,27 +63,6 @@ class DecimalLabels(Sequence[str]):
 
     def __iter__(self) -> Iterator[str]:
         return map(str, self._ids)
-
-    def _id(self, label: object) -> int | None:
-        """The int whose decimal form ``label`` is, if that int is in range."""
-        if type(label) is not str:
-            return None
-        try:
-            k = int(label)
-        except ValueError:
-            return None
-        return k if k in self._ids and str(k) == label else None
-
-    def __contains__(self, label: object) -> bool:
-        return self._id(label) is not None
-
-    def index(self, label: object, start: int = 0, stop: int | None = None) -> int:
-        k = self._id(label)
-        if k is not None:
-            i = k - self._ids.start
-            if i in range(len(self._ids))[start:stop]:
-                return i
-        raise ValueError(f"{label!r} is not in labels")
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, DecimalLabels):

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -490,6 +491,23 @@ class TestBench:
     def test_sweep_rejects_gnm_density(self, m_per_n):
         with pytest.raises(ValueError, match="m-per-n must be a finite number >= 0"):
             sweep("gnm", [10], m_per_n=m_per_n)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_timer_pauses_gc_and_restores_it(self, monkeypatch, enabled):
+        import blockimpact.bench as bench_mod
+
+        gc_during = []
+        monkeypatch.setattr(
+            bench_mod, "compute_all_impacts", lambda g: gc_during.append(gc.isenabled())
+        )
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            bench_mod.time_all_impacts(bowtie(), repeats=3)
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert gc_during == [False] * 3
 
 
 class TestExitCodes:

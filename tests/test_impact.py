@@ -20,6 +20,7 @@ from blockimpact import (
     rerooted_at,
     surviving_component_sizes,
 )
+from blockimpact.graph import DecimalLabels
 
 from _helpers import (
     all_graphs_up_to,
@@ -380,16 +381,18 @@ class TestSampledOracleAtScale:
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "spec",
+        "spec, elements",
         [
-            GeneratorSpec("gnm", 40_000, m=60_000, seed=23),
-            GeneratorSpec("clique-chain", 1 + 4 * 7_143, k=5),
+            pytest.param(GeneratorSpec("gnm", 40_000, m=60_000, seed=23), 1e5, id="gnm"),
+            pytest.param(GeneratorSpec("clique-chain", 1 + 4 * 7_143, k=5), 1e5, id="clique-chain"),
+            # Average degree 2: a giant component among many small trees, so
+            # most removals search a few hundred thousand vertices (35-46 s).
+            pytest.param(GeneratorSpec("gnm", 1 << 19, m=1 << 19, seed=37), 1e6, id="gnm-2^20"),
         ],
-        ids=lambda spec: spec.family,
     )
-    def test_naive_impact_on_sampled_vertices(self, spec):
+    def test_naive_impact_on_sampled_vertices(self, spec, elements):
         g = generate(spec)
-        assert 0.9e5 <= g.n + g.m <= 1.1e5
+        assert 0.9 * elements <= g.n + g.m <= 1.1 * elements
         report = compute_all_impacts(g)
         rng = random.Random(2024)
         cut = [v for v in range(g.n) if report.is_articulation[v]]
@@ -400,3 +403,37 @@ class TestSampledOracleAtScale:
             assert report.impact[v] == sum(pieces) - max(pieces, default=0), v
             assert report.is_articulation[v] == (len(pieces) >= 2), v
             assert report.component_size[v] == sum(pieces) + 1, v
+
+
+class TestRelabelInvarianceAtScale:
+    """Impacts belong to vertices, not to ids or edge order: a new vertex
+    order gives new DFS roots and trees, and must give the same answer."""
+
+    @pytest.mark.slow
+    def test_permuted_ids_and_shuffled_edges(self):
+        g = generate(GeneratorSpec("gnm", 1 << 18, m=3 << 17, seed=53))
+        rng = random.Random(5353)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        labels = [""] * g.n
+        for v, label in enumerate(g.labels):
+            labels[perm[v]] = label
+        edges = [(perm[u], perm[w]) for u, w in g.edges]
+        edges = [(w, u) if rng.random() < 0.5 else (u, w) for u, w in edges]
+        rng.shuffle(edges)
+        relabeled = Graph.from_edges(labels, edges)
+        assert type(g.labels) is DecimalLabels and type(relabeled.labels) is list
+
+        def per_label(h):
+            report = compute_all_impacts(h)
+            return dict(zip(h.labels, zip(report.impact, report.is_articulation)))
+
+        expected = per_label(g)
+        assert per_label(relabeled) == expected
+        # Invariance alone passes an answer that is wrong the same way for
+        # every vertex order (no cut vertices at all, say). Whatever the DFS
+        # does, a vertex of degree >= 2 next to a leaf cuts that leaf off.
+        degree = [b - a for a, b in zip(g.indptr, g.indptr[1:])]
+        hubs = {g.nbr[g.indptr[v]] for v in range(g.n) if degree[v] == 1}
+        hubs = [w for w in hubs if degree[w] >= 2]
+        assert len(hubs) > 1000 and all(expected[g.labels[w]][1] for w in hubs)
