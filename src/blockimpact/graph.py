@@ -8,7 +8,9 @@ table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
 pointer plus one boxed int each. Labels are a list of strings when they come
 from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
 ``Graph.from_edges`` given a count, and so :func:`generate`) hold a
-:class:`DecimalLabels` instead, which makes each label when it is read. This
+:class:`DecimalLabels` instead, which makes each label when it is read. The
+parsers keep no per-edge set: a repeated edge shows up in the built CSR as a
+vertex listing a neighbour twice, and only then is the CSR built again. This
 module imports nothing else from the package; the component labeling lives in
 :mod:`blockimpact.impact`.
 """
@@ -21,8 +23,8 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import eq
+from itertools import accumulate, compress, count, islice
+from operator import eq, sub
 from typing import Iterable, Iterator, NamedTuple
 
 GENERATOR_FAMILIES = ("gnm", "path", "star", "balanced-tree", "clique-chain")
@@ -120,6 +122,8 @@ class Graph:
                 raise ValueError("duplicate vertex labels")
         n = len(labels)
 
+        # Its own key set, not the parsers' CSR check: it names the offending
+        # edge, and on a long path one set pass costs less than that check.
         ends = array("q")
         seen: set[int] = set()
         for u, v in edges:
@@ -155,9 +159,9 @@ MAX_DIMACS_VERTICES = 2**26
 
 def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
     """The CSR graph over the flat edge table ``ends`` (``u0, w0, u1, w1,
-    ...``), whose edges must already be in range, free of self-loops and
-    distinct: the one CSR construction behind the parsers and
-    :meth:`Graph.from_edges`. The graph keeps ``ends`` itself."""
+    ...``), whose edges must be in range and free of self-loops but may repeat
+    (:func:`_without_repeats` finds repeats): the one CSR construction behind
+    the parsers and :meth:`Graph.from_edges`. The graph keeps ``ends`` itself."""
     n = len(labels)
     deg = [0] * n
     for x in ends:
@@ -176,6 +180,35 @@ def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
     return Graph(n, len(ends) // 2, indptr, nbr, ends, labels)
 
 
+def _without_repeats(labels: Sequence[str], ends: array, dropped: int) -> ParseResult:
+    """A parser's result over its loop-free ``ends``: their CSR if no vertex lists
+    a neighbour twice, else the CSR of each edge's first line, repeats in ``dropped``."""
+    g = _from_clean_edges(labels, ends)
+    nbr, indptr = g.nbr, g.indptr
+    # A repeat lies twice in the slice of each of its ends: a set over every
+    # slice of 2..cap entries finds it unless both ends have longer slices
+    # (at most seven such hubs), and counts find those. No set is hub-sized.
+    cap, deg = len(nbr) // 8, list(map(sub, islice(indptr, 1, None), indptr))
+    hubs = list(compress(count(), map(cap.__lt__, deg))) if max(deg, default=0) > cap else []
+    busy = range(2, cap + 1).__contains__
+    lo, hi = compress(indptr, map(busy, deg)), compress(islice(indptr, 1, None), map(busy, deg))
+    distinct = sum(map(len, map(set, map(nbr.__getitem__, map(slice, lo, hi))))) + deg.count(1)
+    twice = any(nbr[indptr[h] : indptr[h + 1]].count(k) > 1 for h in hubs for k in hubs)
+    if distinct + sum(map(deg.__getitem__, hubs)) == len(nbr) and not twice:
+        return ParseResult(g, dropped)
+    del g, nbr, indptr, deg, lo, hi  # free the first CSR before the filter allocates
+    kept = array("q")
+    seen: set[int] = set()  # smaller end << 32 | larger end, per kept edge
+    pairs = iter(ends)
+    for u, w in zip(pairs, pairs):
+        key = (u << 32) | w if u < w else (w << 32) | u
+        if key not in seen:
+            seen.add(key)
+            kept.extend((u, w))
+    del seen
+    return ParseResult(_from_clean_edges(labels, kept), dropped + (len(ends) - len(kept)) // 2)
+
+
 def _numbered_lines(text: str | Iterable[str]) -> Iterator[tuple[int, str]]:
     # A string is split the way a text file is read: lines end at \n, \r\n
     # or \r only, so a string and a file holding it parse alike.
@@ -191,13 +224,14 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
     token is literally ``v`` declares the vertex named by its second token
     (the way isolated vertices are expressed). Labels are arbitrary
     non-whitespace tokens; internal ids follow first appearance. Self-loops
-    and repeated edges (either orientation) are dropped and counted.
+    and repeated edges (either orientation) are dropped and counted: loops
+    as they are read, repeats when the built CSR shows a vertex listing the
+    same neighbour twice (see :func:`_without_repeats`).
     """
     ids: dict[str, int] = {}  # label -> id, in first-appearance order
     intern = ids.setdefault
     ends = array("q")
     append = ends.append
-    seen: set[int] = set()  # (lo << 32) | hi of every kept edge
     dropped = 0
     for lineno, line in _numbered_lines(text):
         parts = line.split()
@@ -211,23 +245,15 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
             continue
         u = intern(a, len(ids))
         w = intern(b, len(ids))
-        if u < w:
-            key = (u << 32) | w
-        elif w < u:
-            key = (w << 32) | u
-        else:
+        if u == w:
             dropped += 1
             continue
-        if key in seen:
-            dropped += 1
-            continue
-        seen.add(key)
         append(u)
         append(w)
-    # Free the label map and the edge keys before the CSR build allocates.
+    # Free the label map before the CSR build allocates.
     labels = list(ids)
-    del ids, intern, seen
-    return ParseResult(_from_clean_edges(labels, ends), dropped)
+    del ids, intern
+    return _without_repeats(labels, ends, dropped)
 
 
 def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
@@ -237,12 +263,11 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
     The vertex count comes from the ``p`` line, so isolated vertices are
     preserved; a count above :data:`MAX_DIMACS_VERTICES` is rejected. The
     declared edge count is advisory: after dropping self-loops and duplicates
-    the retained count wins.
+    the retained count wins. Repeats are found as in :func:`parse_edge_list`.
     """
     n: int | None = None
     ends = array("q")
     append = ends.append
-    seen: set[int] = set()  # (lo << 32) | hi of every kept edge
     dropped = 0
     for lineno, line in _numbered_lines(text):
         parts = line.split()
@@ -261,21 +286,11 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
                 raise ParseError("non-integer vertex id in 'e' line", lineno) from None
             if not (1 <= u <= n) or not (1 <= w <= n):
                 raise ParseError(f"vertex id out of range 1..{n}", lineno)
-            u -= 1
-            w -= 1
-            if u < w:
-                key = (u << 32) | w
-            elif w < u:
-                key = (w << 32) | u
-            else:
+            if u == w:
                 dropped += 1
                 continue
-            if key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            append(u)
-            append(w)
+            append(u - 1)
+            append(w - 1)
         elif kind == "c":
             continue
         elif kind == "p":
@@ -299,8 +314,7 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
             raise ParseError(f"unexpected line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing 'p' line")
-    del seen  # free the edge keys before the CSR is built
-    return ParseResult(_from_clean_edges(DecimalLabels(1, n), ends), dropped)
+    return _without_repeats(DecimalLabels(1, n), ends, dropped)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -1,15 +1,18 @@
 """Shared fixtures: named small graphs, corpora, the structural validator,
-and the paper's block-forest method as a second linear-time oracle."""
+the paper's block-forest method as a second linear-time oracle, and DFS
+shapes that scale, with the check that both DFSs agree on them."""
 
 from __future__ import annotations
 
 import itertools
+import random
 
 from blockimpact import (
     BlockForest,
     CcLabeling,
     Graph,
     articulation_points,
+    compute_all_impacts,
     compute_sq_sizes,
     connected_components,
     generate,
@@ -251,3 +254,81 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
             two = len(bf.round_members(node - n)) == 2
             split = components_without_edge(g, e) > base
             assert two == split
+
+
+def long_cycle(n):
+    """One block holding all n vertices."""
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def cactus(cycles, seed):
+    """Edge-disjoint cycles of length 3..6, each hung on a random earlier vertex."""
+    rng = random.Random(seed)
+    n, edges = 1, []
+    for _ in range(cycles):
+        ring = [rng.randrange(n)] + list(range(n, n + rng.randint(2, 5)))
+        n += len(ring) - 1
+        edges += [(ring[i - 1], ring[i]) for i in range(len(ring))]
+    return Graph.from_edges(n, edges)
+
+
+def broom(handle, bristles):
+    """A path of ``handle`` vertices with a star of ``bristles`` leaves at its end."""
+    edges = [(i, i + 1) for i in range(handle - 1)]
+    edges += [(handle - 1, handle + j) for j in range(bristles)]
+    return Graph.from_edges(handle + bristles, edges)
+
+
+def star_of_cliques(count, k):
+    """``count`` k-cliques that share only vertex 0."""
+    edges = []
+    for c in range(count):
+        clique = [0] + list(range(1 + c * (k - 1), 1 + (c + 1) * (k - 1)))
+        edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+    return Graph.from_edges(1 + count * (k - 1), edges)
+
+
+def isolated_and_small(pieces, seed):
+    """Isolated vertices mixed with single edges, triangles and short paths,
+    under a shuffled numbering so components interleave in vertex order."""
+    rng = random.Random(seed)
+    sizes = [rng.choice((1, 1, 1, 2, 3, 4)) for _ in range(pieces)]
+    n = sum(sizes)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, at = [], 0
+    for size in sizes:
+        vs = ids[at:at + size]
+        at += size
+        edges += [(vs[i], vs[i + 1]) for i in range(size - 1)]
+        if size == 3:
+            edges.append((vs[2], vs[0]))
+    return Graph.from_edges(n, edges)
+
+
+def assert_dfs_matches_forest(g):
+    report = compute_all_impacts(g)
+    impacts, cc = forest_impacts(g)
+    assert report.impact == impacts
+    assert report.component_id == cc.component_id
+    assert report.component_size == [cc.component_size[c] for c in cc.component_id]
+    assert report.is_articulation == [x > 0 for x in impacts]
+
+
+def hub_with_pieces(pieces, above):
+    """A hub vertex whose removal leaves one piece per entry of ``pieces``,
+    which the DFS closes in the order given, plus a path of ``above``
+    vertices the DFS comes down before reaching the hub; with ``above`` 0
+    the hub is the DFS root. Pieces alternate between a path hanging off the
+    hub and a cycle through it. Returns the graph and the hub's id."""
+    hub = above
+    edges = [(i, i + 1) for i in range(above)]  # the last one reaches the hub
+    n = hub + 1
+    for i, size in enumerate(pieces):
+        piece = list(range(n, n + size))
+        n += size
+        edges.append((hub, piece[0]))
+        edges += zip(piece, piece[1:])
+        if i % 2 and size >= 2:
+            edges.append((piece[-1], hub))
+    return Graph.from_edges(n, edges), hub

@@ -190,6 +190,53 @@ class TestDirtyInput:
                     name = field.name
                     assert getattr(g, name) == getattr(want, name), (name, text)
 
+    @pytest.mark.parametrize("dimacs", [False, True], ids=["edgelist", "dimacs"])
+    def test_repeats_and_loops_planted_at_scale(self, dimacs):
+        # A ~10^5-edge text with repeated lines (either orientation, each after
+        # the line it repeats) and self-loops on labels already seen: parsing
+        # it must drop exactly those lines and give the clean text's graph.
+        g = generate(GeneratorSpec("gnm", 2**15, m=100_000, seed=77))
+        line = "e {} {}".format if dimacs else "{} {}".format
+        rng = random.Random(7 + dimacs)
+        clean, dirty, inserted = [], [], 0
+        for u, w in g.edges:
+            a, b = (u + 1, w + 1) if dimacs else (g.labels[u], g.labels[w])
+            clean.append(line(a, b))
+            dirty.append(clean[-1])
+            roll = rng.random()
+            if roll < 0.03:
+                x, y = map(int, dirty[rng.randrange(len(dirty))].split()[-2:])
+                dirty.append(line(*rng.choice([(x, y), (y, x)])))
+                inserted += 1
+            elif roll < 0.04:
+                dirty.append(line(a, a))
+                inserted += 1
+        head = [f"p edge {g.n} {g.m + inserted}"] if dimacs else []
+        parse = parse_dimacs if dimacs else parse_edge_list
+        want, clean_dropped = parse("\n".join(head + clean))
+        got, dropped = parse("\n".join(head + dirty))
+        assert clean_dropped == 0 and inserted > 3000
+        assert dropped == inserted
+        for field in fields(Graph):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    @pytest.mark.parametrize("dimacs", [False, True], ids=["edgelist", "dimacs"])
+    def test_repeats_between_and_at_hubs(self, dimacs):
+        # Two hubs, each holding over an eighth of the neighbour slots, joined
+        # to each other and to 200 leaves apiece. A repeat of the hub-hub edge
+        # shows in no leaf's slice; a repeated hub-leaf edge shows in the leaf's.
+        clean = [(0, 1)] + [(h, 2 + 2 * i + h) for i in range(200) for h in (0, 1)]
+        line = "e {} {}".format if dimacs else "{} {}".format
+        for extra in ([(1, 0)], [(0, 1), (1, 0)], [(7, 1)], [(1, 0), (4, 0)]):
+            text = [line(u + dimacs, w + dimacs) for u, w in clean + extra]
+            head = [f"p edge 402 {len(text)}"] if dimacs else []
+            parse = parse_dimacs if dimacs else parse_edge_list
+            want, _ = parse("\n".join(head + text[: len(clean)]))
+            got, dropped = parse("\n".join(head + text))
+            assert dropped == len(extra), extra
+            for field in fields(Graph):
+                assert getattr(got, field.name) == getattr(want, field.name), (field.name, extra)
+
 
 class TestGraphInvariants:
     def test_from_edges_rejects_bad_input(self):

@@ -4,14 +4,22 @@
 unlike the process's RSS these bounds do not move with allocator or VM noise.
 Each bound sits about 10 % above the value measured on Python 3.11 when it
 was set (in the comment beside it): storing the labels of an integer-labeled
-graph as strings adds ~62 bytes per vertex, and a boxed int per suspended
-vertex in the impact DFS ~32.
+graph as strings adds ~62 bytes per vertex, a boxed int per suspended
+vertex in the impact DFS ~32, and a set of one boxed key per edge in a
+parser 64 to 72 bytes per kept edge.
 """
 
 import gc
 import tracemalloc
 
-from blockimpact import GeneratorSpec, compute_all_impacts, generate
+from blockimpact import (
+    GeneratorSpec,
+    compute_all_impacts,
+    format_edge_list,
+    generate,
+    parse_dimacs,
+    parse_edge_list,
+)
 
 
 def _traced(fn):
@@ -41,3 +49,31 @@ def test_compute_all_impacts_peak_on_a_path():
     report, _, peak = _traced(lambda: compute_all_impacts(g))
     assert report.max_impact == (n - 1) // 2
     assert peak / n < 133, peak / n  # 120.8 measured
+
+
+def test_parse_edge_list_peak_per_edge():
+    text = format_edge_list(generate(GeneratorSpec("gnm", 2**15, m=2**16, seed=1)))
+    (g, dropped), _, peak = _traced(lambda: parse_edge_list(text))
+    assert (g.m, dropped) == (2**16, 0)
+    assert peak / g.m < 130, peak / g.m  # 117.9 measured
+
+
+def test_parse_dimacs_peak_per_edge():
+    clean = generate(GeneratorSpec("clique-chain", 7 * 2**12 + 1, k=8))
+    text = f"p edge {clean.n} {clean.m}\n" + "".join(f"e {u + 1} {w + 1}\n" for u, w in clean.edges)
+    (g, dropped), _, peak = _traced(lambda: parse_dimacs(text))
+    assert (g.m, dropped) == (clean.m, 0)
+    assert peak / g.m < 77, peak / g.m  # 69.6 measured
+
+
+def test_parse_star_peak_per_edge():
+    # One hub lists every leaf: the repeat check must not hold a set that size.
+    leaves = 2**16
+    lines = "".join(f"e 1 {i}\n" for i in range(2, leaves + 2))
+    for parse, text, bound in (
+        (parse_edge_list, lines.replace("e ", ""), 202),  # 183.3 measured
+        (parse_dimacs, f"p edge {leaves + 1} {leaves}\n" + lines, 134),  # 121.5 measured
+    ):
+        (g, dropped), _, peak = _traced(lambda: parse(text))
+        assert (g.m, dropped) == (leaves, 0)
+        assert peak / g.m < bound, (parse.__name__, peak / g.m)
