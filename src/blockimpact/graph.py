@@ -23,8 +23,8 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, compress, count, islice
-from operator import eq, sub
+from itertools import accumulate, islice
+from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
 GENERATOR_FAMILIES = ("gnm", "path", "star", "balanced-tree", "clique-chain")
@@ -122,8 +122,8 @@ class Graph:
                 raise ValueError("duplicate vertex labels")
         n = len(labels)
 
-        # Its own key set, not the parsers' CSR check: it names the offending
-        # edge, and on a long path one set pass costs less than that check.
+        # Its own key set, not the parsers' marking pass: it names the repeated
+        # edge, and the pass saved no time on `generate`'s 2^20-vertex path.
         ends = array("q")
         seen: set[int] = set()
         for u, v in edges:
@@ -180,23 +180,27 @@ def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
     return Graph(n, len(ends) // 2, indptr, nbr, ends, labels)
 
 
+def _lists_a_neighbour_twice(indptr: list[int], nbr: array) -> bool:
+    """Whether some CSR slice holds a neighbour twice. Neighbour ``u`` of the slice
+    at ``lo`` gets ``mark[u] = lo``: slices of 2+ entries start at distinct
+    positions, so no mark is stale, and ``lo`` is ``indptr``'s own int."""
+    mark = [-1] * (len(indptr) - 1)
+    for lo, hi in zip(indptr, islice(indptr, 1, None)):
+        if hi - lo > 1:
+            for u in nbr[lo:hi]:
+                if mark[u] == lo:
+                    return True
+                mark[u] = lo
+    return False
+
+
 def _without_repeats(labels: Sequence[str], ends: array, dropped: int) -> ParseResult:
     """A parser's result over its loop-free ``ends``: their CSR if no vertex lists
     a neighbour twice, else the CSR of each edge's first line, repeats in ``dropped``."""
     g = _from_clean_edges(labels, ends)
-    nbr, indptr = g.nbr, g.indptr
-    # A repeat lies twice in the slice of each of its ends: a set over every
-    # slice of 2..cap entries finds it unless both ends have longer slices
-    # (at most seven such hubs), and counts find those. No set is hub-sized.
-    cap, deg = len(nbr) // 8, list(map(sub, islice(indptr, 1, None), indptr))
-    hubs = list(compress(count(), map(cap.__lt__, deg))) if max(deg, default=0) > cap else []
-    busy = range(2, cap + 1).__contains__
-    lo, hi = compress(indptr, map(busy, deg)), compress(islice(indptr, 1, None), map(busy, deg))
-    distinct = sum(map(len, map(set, map(nbr.__getitem__, map(slice, lo, hi))))) + deg.count(1)
-    twice = any(nbr[indptr[h] : indptr[h + 1]].count(k) > 1 for h in hubs for k in hubs)
-    if distinct + sum(map(deg.__getitem__, hubs)) == len(nbr) and not twice:
+    if not _lists_a_neighbour_twice(g.indptr, g.nbr):
         return ParseResult(g, dropped)
-    del g, nbr, indptr, deg, lo, hi  # free the first CSR before the filter allocates
+    del g  # free the first CSR before the filter allocates
     kept = array("q")
     seen: set[int] = set()  # smaller end << 32 | larger end, per kept edge
     pairs = iter(ends)
@@ -226,7 +230,7 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
     non-whitespace tokens; internal ids follow first appearance. Self-loops
     and repeated edges (either orientation) are dropped and counted: loops
     as they are read, repeats when the built CSR shows a vertex listing the
-    same neighbour twice (see :func:`_without_repeats`).
+    same neighbour twice (one marking pass, :func:`_lists_a_neighbour_twice`).
     """
     ids: dict[str, int] = {}  # label -> id, in first-appearance order
     intern = ids.setdefault

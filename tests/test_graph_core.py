@@ -25,7 +25,7 @@ import blockimpact.graph as graph_mod
 from blockimpact.graph import DecimalLabels
 from blockimpact.oracle import _labeling
 
-from _helpers import all_graphs_up_to, closure_components, vertex
+from _helpers import all_graphs_up_to, closure_components, long_cycle, vertex
 
 
 def degrees(g: Graph) -> list[int]:
@@ -236,6 +236,72 @@ class TestDirtyInput:
             assert dropped == len(extra), extra
             for field in fields(Graph):
                 assert getattr(got, field.name) == getattr(want, field.name), (field.name, extra)
+
+
+def _dimacs_text(g: Graph) -> str:
+    return f"p edge {g.n} {g.m}\n" + "".join(f"e {u + 1} {w + 1}\n" for u, w in g.edges)
+
+
+class TestCsrBuilds:
+    """Input without repeated edges has its CSR built once; only a repeat
+    sends the parse through the filter and a second build. Both ways give
+    equal graphs, so a repeat check that errs shows only in the count."""
+
+    SHAPES = {
+        "gnm": lambda: generate(GeneratorSpec("gnm", 600, m=2400, seed=3)),
+        "path": lambda: generate(GeneratorSpec("path", 2000)),
+        "star": lambda: generate(GeneratorSpec("star", 2000)),
+        "balanced-tree": lambda: generate(GeneratorSpec("balanced-tree", 2000, k=3)),
+        "clique-chain": lambda: generate(GeneratorSpec("clique-chain", 7 * 200 + 1, k=8)),
+        "disjoint-edges": lambda: Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)]),
+        "long-cycle": lambda: long_cycle(2000),
+    }
+
+    @staticmethod
+    def _builds(monkeypatch) -> list[int]:
+        """The edge-table length of every CSR build from now on."""
+        build, calls = graph_mod._from_clean_edges, []
+
+        def counted(labels, ends):
+            calls.append(len(ends))
+            return build(labels, ends)
+
+        monkeypatch.setattr(graph_mod, "_from_clean_edges", counted)
+        return calls
+
+    def test_shapes_cover_every_generator_family(self):
+        assert set(GENERATOR_FAMILIES) <= set(self.SHAPES)
+
+    @pytest.mark.parametrize("dimacs", [False, True], ids=["edgelist", "dimacs"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_clean_input_builds_once(self, monkeypatch, shape, dimacs):
+        g = self.SHAPES[shape]()
+        text = _dimacs_text(g) if dimacs else format_edge_list(g)
+        builds = self._builds(monkeypatch)
+        got, dropped = (parse_dimacs if dimacs else parse_edge_list)(text)
+        assert (got.m, dropped, builds) == (g.m, 0, [2 * g.m])
+
+    @pytest.mark.parametrize("dimacs", [False, True], ids=["edgelist", "dimacs"])
+    def test_only_a_repeat_builds_twice(self, monkeypatch, dimacs):
+        # On TestDirtyInput's texts: one whose only dropped lines are
+        # self-loops builds once, one with a repeated edge twice.
+        rng = random.Random(99 + dimacs)
+        parse = parse_dimacs if dimacs else parse_edge_list
+        builds = self._builds(monkeypatch)
+        counts = set()
+        for _ in range(200):
+            text, _, kept, dropped = _dirty_input(rng, dimacs)
+            rows = [line.split() for line in text.splitlines()]
+            if dimacs:
+                pairs = [row[1:] for row in rows if row[:1] == ["e"]]
+            else:
+                pairs = [row for row in rows if row and row[0][0] != "#" and row[0] != "v"]
+            repeats = sum(a != b for a, b in pairs) - len(kept)
+            builds.clear()
+            assert parse(text).dropped == dropped
+            assert len(builds) == 1 + (repeats > 0), text
+            counts.add(len(builds))
+        assert counts == {1, 2}
 
 
 class TestGraphInvariants:

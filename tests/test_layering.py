@@ -4,7 +4,8 @@
 named here, so a concept cannot drift into a second module unnoticed.
 ``cli`` and ``__init__`` are the entry points and may import any module.
 Every function the package defines is exported, or used by the package, the
-benchmark or the acceptance tests.
+benchmark or the acceptance tests, and every name a module imports is read
+in that module.
 """
 
 import ast
@@ -129,3 +130,32 @@ def test_no_function_only_tests_use():
         and qualname.rsplit(".", 1)[-1] not in seen_by[kind]
     ]
     assert unused == []
+
+
+def _unused_imports(tree: ast.Module, exported: set[str]) -> list[str]:
+    """Names ``tree`` imports but never reads, less those in ``exported``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"line {line}: {name}" for name, line in imported.items()
+            if name not in read | exported]
+
+
+def test_no_unused_imports():
+    # No linter runs on the package, so a name left imported after its last
+    # use goes away would otherwise stay. ``__init__`` re-exports ``__all__``.
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        exported = set(blockimpact.__all__) if path.stem == "__init__" else set()
+        if found := _unused_imports(_tree(path), exported):
+            unused[path.stem] = found
+    assert unused == {}

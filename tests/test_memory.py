@@ -67,7 +67,8 @@ def test_parse_dimacs_peak_per_edge():
 
 
 def test_parse_star_peak_per_edge():
-    # One hub lists every leaf: the repeat check must not hold a set that size.
+    # One hub lists every leaf: the repeat check holds no set at all, only one
+    # mark per vertex, however long the hub's slice.
     leaves = 2**16
     lines = "".join(f"e 1 {i}\n" for i in range(2, leaves + 2))
     for parse, text, bound in (
@@ -76,4 +77,18 @@ def test_parse_star_peak_per_edge():
     ):
         (g, dropped), _, peak = _traced(lambda: parse(text))
         assert (g.m, dropped) == (leaves, 0)
+        assert peak / g.m < bound, (parse.__name__, peak / g.m)
+
+
+def test_parse_disjoint_edges_peak_per_edge():
+    # n = 2m, so what is paid per vertex (labels, indptr, the repeat check's
+    # marks) weighs more than what is paid per edge.
+    edges = 2**16
+    lines = "".join(f"e {2 * i + 1} {2 * i + 2}\n" for i in range(edges))
+    for parse, text, bound in (
+        (parse_edge_list, lines.replace("e ", ""), 368),  # 334.4 measured
+        (parse_dimacs, f"p edge {2 * edges} {edges}\n" + lines, 231),  # 210.1 measured
+    ):
+        (g, dropped), _, peak = _traced(lambda: parse(text))
+        assert (g.n, g.m, dropped) == (2 * edges, edges, 0)
         assert peak / g.m < bound, (parse.__name__, peak / g.m)
