@@ -266,9 +266,9 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_dot(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = _load_graph(args, err)
-    bf = build_block_forest(g)
-    sizes = compute_sq_sizes(bf)
-    text = export_dot(g, bf, sizes)
+    bf, labels = build_block_forest(g), g.labels
+    del g  # the forest keeps the edge table; the CSR goes before the text
+    text = export_dot(labels, bf, compute_sq_sizes(bf))
     for lo in range(0, len(text), CHARS_PER_WRITE):
         out.write(text[lo:lo + CHARS_PER_WRITE])
     return 0

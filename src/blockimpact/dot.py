@@ -7,11 +7,10 @@ their subtree square count. All trees land in one undirected DOT graph.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import islice
 
 from .forest import BlockForest
-from .graph import Graph
 
 
 def _quote(label: str) -> str:
@@ -23,25 +22,24 @@ def _quote(label: str) -> str:
 LINES_PER_JOIN = 4096
 
 
-def _lines(g: Graph, bf: BlockForest, sizes: list[int]) -> Iterator[str]:
+def _lines(labels: Sequence[str], bf: BlockForest, sizes: list[int]) -> Iterator[str]:
     """The DOT text, one newline-terminated line at a time."""
     degs = bf.square_degrees()
     yield "graph block_forest {\n"
-    for v, label in enumerate(g.labels):
+    for v, label in enumerate(labels):
         style = ", style=bold" if degs[v] >= 2 else ""
         yield f"  s{v} [shape=box{style}, label={_quote(label)}];\n"
     for r in range(bf.num_rounds):
-        badge = sizes[bf.n_squares + r]
-        yield f'  r{r} [shape=ellipse, label="{badge}"];\n'
+        yield f'  r{r} [shape=ellipse, label="{sizes[bf.n_squares + r]}"];\n'
     for r in range(bf.num_rounds):
         for v in bf.round_members(r):
             yield f"  s{v} -- r{r};\n"
     yield "}\n"
 
 
-def export_dot(g: Graph, bf: BlockForest, sizes: list[int]) -> str:
+def export_dot(labels: Sequence[str], bf: BlockForest, sizes: list[int]) -> str:
     """The whole DOT text, built from joins of at most LINES_PER_JOIN lines."""
-    lines = _lines(g, bf, sizes)
+    lines = _lines(labels, bf, sizes)
     chunks = []
     while chunk := "".join(islice(lines, LINES_PER_JOIN)):
         chunks.append(chunk)

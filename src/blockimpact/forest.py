@@ -103,21 +103,21 @@ def build_block_forest(g: Graph) -> BlockForest:
     """Build the block forest of ``g`` (any graph, empty and edgeless included).
 
     One explicit-stack Hopcroft-Tarjan DFS per component, started in vertex
-    order, with ``cursor[v]`` the next adjacency slot of v to scan; every
-    slot is read once, 2m in all. Tree and back edges go onto an edge stack,
-    a flat list of ints: the tail, then the head, so no pair object is
-    allocated per edge. A tree edge (p, v) whose child came back with
-    lowpt(v) >= number(p) closes a block: the stacked edges with a tail
-    discovered at or after v (everything pushed inside v's subtree) are
-    drained, then the tree edge itself. Their endpoints, newest edge first,
-    then v, then p, each taken once, become the new round node's members.
+    order, shaped like :func:`blockimpact.impact._separated_pieces`: a
+    suspended v keeps in ``cursor[v]`` the count of slots it has left to
+    scan, and every slot is read once, 2m in all. Tree and back edges go onto
+    a flat edge stack, the tail then the head. A tree edge (p, v) whose child
+    came back with lowpt(v) >= number(p) closes a block: the edges stacked
+    inside v's subtree (tail discovered at or after v) are drained, then the
+    tree edge itself. Their endpoints, newest edge first, then v, then p,
+    each taken once, become the new round node's members.
     """
     n = g.n
     indptr = g.indptr
     nbr = g.nbr
     number = [-1] * n
-    lowpt = [0] * n
-    cursor = indptr[:n]
+    lowpt = [0] * n  # lowpt and cursor: written on suspend, read on resume
+    cursor = [0] * n
     # One slot per square, then one per round node: a round's id is
     # len(parent) at its creation. A square's parent is also the marker
     # that stops it joining the round being drained twice.
@@ -133,18 +133,15 @@ def build_block_forest(g: Graph) -> BlockForest:
     for s in range(n):
         if number[s] >= 0:
             continue
-        number[s] = lowpt[s] = timer
+        v, p = s, -1
+        i = indptr[s]
+        end = indptr[s + 1]
+        number[s] = nv = low = timer
         timer += 1
-        stack = [-1, s]  # the DFS parent of stack[-1] is stack[-2]
+        stack = []  # the suspended ancestors above p
         push = stack.append
         pop = stack.pop
         while True:
-            v = stack[-1]
-            p = stack[-2]
-            i = cursor[v]
-            end = indptr[v + 1]
-            nv = number[v]
-            low = lowpt[v]
             while i < end:
                 u = nbr[i]
                 i += 1
@@ -158,45 +155,50 @@ def build_block_forest(g: Graph) -> BlockForest:
                     if nu < low:
                         low = nu
             else:
-                # v is finished.
-                pop()
+                # v is finished: resume p with v folded in.
                 if p < 0:
                     break
-                if low < number[p]:
-                    if low < lowpt[p]:
-                        lowpt[p] = low
-                    continue
-                # Block boundary at tree edge (p, v): new round node.
-                node = len(parent)
-                member_indptr.append(len(member_flat))
-                parent.append(p)
-                b = pop_edge()
-                a = pop_edge()
-                while number[a] >= nv:
-                    if parent[a] != node:
-                        parent[a] = node
-                        member_add(a)
-                    if parent[b] != node:
-                        parent[b] = node
-                        member_add(b)
+                if low >= number[p]:
+                    # Block boundary at tree edge (p, v): new round node.
+                    node = len(parent)
+                    member_indptr.append(len(member_flat))
+                    parent.append(p)
                     b = pop_edge()
                     a = pop_edge()
-                # (a, b) is the tree edge (p, v).
-                if parent[v] != node:
-                    parent[v] = node
-                    member_add(v)
-                if parent[p] != node:
-                    parent[p] = node
-                    member_add(p)
+                    while number[a] >= nv:
+                        if parent[a] != node:
+                            parent[a] = node
+                            member_add(a)
+                        if parent[b] != node:
+                            parent[b] = node
+                            member_add(b)
+                        b = pop_edge()
+                        a = pop_edge()
+                    # (a, b) is the tree edge (p, v).
+                    if parent[v] != node:
+                        parent[v] = node
+                        member_add(v)
+                    if parent[p] != node:
+                        parent[p] = node
+                        member_add(p)
+                if lowpt[p] < low:  # lowpt(p) <= number(p) <= low after a block closes
+                    low = lowpt[p]
+                v, p = p, pop()
+                nv = number[v]
+                end = indptr[v + 1]
+                i = end - cursor[v]
                 continue
             # Tree edge (v, u): suspend v, open u.
             push_edge(v)
             push_edge(u)
-            cursor[v] = i
+            cursor[v] = end - i
             lowpt[v] = low
-            number[u] = lowpt[u] = timer
+            push(p)
+            p, v = v, u
+            i = indptr[u]
+            end = indptr[u + 1]
+            number[u] = nv = low = timer
             timer += 1
-            push(u)
         # The last block closed in the component holds s and becomes the
         # root; an s that joined no block is an isolated square tree.
         root = parent[s]

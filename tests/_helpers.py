@@ -1,11 +1,14 @@
 """Shared fixtures: named small graphs, corpora, the structural validator,
-the paper's block-forest method as a second linear-time oracle, and DFS
-shapes that scale, with the check that both DFSs agree on them."""
+the paper's block-forest method as a second linear-time oracle, a recursive
+reference of the block forest's member order, and DFS shapes that scale,
+with the check that both DFSs agree on them."""
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 
 from blockimpact import (
     BlockForest,
@@ -332,3 +335,92 @@ def hub_with_pieces(pieces, above):
         if i % 2 and size >= 2:
             edges.append((piece[-1], hub))
     return Graph.from_edges(n, edges), hub
+
+
+DFS_SHAPES = {
+    "long-cycle": long_cycle,
+    "cactus": lambda size: cactus(size // 4, seed=size),
+    "broom": lambda size: broom(size // 2, size - size // 2),
+    "star-of-cliques": lambda size: star_of_cliques(max(size // 4, 1), 5),
+    "isolated-and-small": lambda size: isolated_and_small(size // 2, seed=size),
+}
+
+
+@contextlib.contextmanager
+def recursion_limit(limit):
+    """Raise the interpreter's recursion limit to at least ``limit`` inside
+    the block, and put the old one back on leaving it."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def reference_forest_fields(g: Graph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """``member_flat``, ``member_indptr``, ``parent`` and ``roots`` of the
+    block forest, built by a recursive DFS that follows the documented rule
+    of ``build_block_forest`` and shares no code with it.
+
+    Components start in vertex order and each vertex scans its adjacency in
+    CSR order. Every tree edge, and every back edge to an ancestor other
+    than the parent, is stacked as (tail, head). When a child v of p returns
+    with lowpoint >= number(p), the edges whose tail was discovered at or
+    after v are drained, then the tree edge (p, v); the round's members are
+    the drained endpoints, newest edge first and tail before head, then v,
+    then p, each taken once. A square's parent is the last round it joined,
+    a round's parent is its p, and the last round closed in a component
+    becomes that tree's root. Recursion is one frame per tree depth: call it
+    under :func:`recursion_limit` for long paths.
+    """
+    n = g.n
+    number = [-1] * n
+    parent = [-1] * n
+    member_flat: list[int] = []
+    member_indptr: list[int] = []
+    roots: list[int] = []
+    edges: list[tuple[int, int]] = []
+
+    def close(p, v):
+        drained: list[int] = []
+        while number[edges[-1][0]] >= number[v]:
+            drained += edges.pop()
+        assert edges.pop() == (p, v)
+        members = list(dict.fromkeys(drained + [v, p]))
+        node = len(parent)
+        parent.append(p)
+        member_indptr.append(len(member_flat))
+        member_flat.extend(members)
+        for x in members:
+            parent[x] = node
+
+    timer = 0
+
+    def visit(v, p):
+        nonlocal timer
+        number[v] = low = timer
+        timer += 1
+        for u in g.nbr[g.indptr[v]:g.indptr[v + 1]]:
+            if number[u] < 0:
+                edges.append((v, u))
+                child_low = visit(u, v)
+                if child_low >= number[v]:
+                    close(v, u)
+                low = min(low, child_low)
+            elif number[u] < number[v] and u != p:
+                edges.append((v, u))
+                low = min(low, number[u])
+        return low
+
+    for s in range(n):
+        if number[s] < 0:
+            visit(s, -1)
+            root = parent[s]
+            if root < 0:
+                root = s
+            else:
+                parent[root] = -1
+            roots.append(root)
+    member_indptr.append(len(member_flat))
+    return member_flat, member_indptr, parent, roots

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockimpact import (
+    GENERATOR_FAMILIES,
     GeneratorSpec,
     Graph,
     articulation_points,
@@ -18,13 +19,17 @@ from blockimpact import (
 )
 
 from _helpers import (
+    DFS_SHAPES,
     all_graphs_up_to,
     bowtie,
     check_block_forest,
     components_without_edge,
     forest_neighbors,
     graph_from,
+    hub_with_pieces,
     pendant_triangle,
+    recursion_limit,
+    reference_forest_fields,
     seeded_gnm_graphs,
     vertex,
 )
@@ -97,6 +102,51 @@ class TestDfsVisit:
         assert vertex(g, "a") == 0
         bf = build_block_forest(g)
         assert members_by_label(g, bf) == [["c", "d", "e"], ["a", "b", "c"]]
+
+
+def assert_matches_reference(g):
+    bf = build_block_forest(g)
+    # A recursive DFS needs a frame per tree level: room for a path of n.
+    with recursion_limit(g.n + 200):
+        want = reference_forest_fields(g)
+    assert (bf.member_flat, bf.member_indptr, bf.parent, bf.roots) == want
+
+
+class TestMemberOrder:
+    """Member order, parents and roots exactly as the documented drain rule
+    gives them. The DOT text lists members in this order, and elsewhere only
+    its goldens would see a change of it."""
+
+    FAMILY_SPECS = [
+        GeneratorSpec("path", 2000),
+        GeneratorSpec("star", 2000),
+        GeneratorSpec("balanced-tree", 2000, k=3),
+        GeneratorSpec("gnm", 2000, m=3000, seed=29),
+        GeneratorSpec("clique-chain", 1 + 7 * 285, k=8),
+    ]
+
+    def test_seeded_gnm_graphs(self):
+        for g in seeded_gnm_graphs(300, 40, random.Random(15)):
+            assert_matches_reference(g)
+
+    def test_family_specs_cover_every_generator_family(self):
+        assert {spec.family for spec in self.FAMILY_SPECS} == set(GENERATOR_FAMILIES)
+
+    @pytest.mark.parametrize("spec", FAMILY_SPECS, ids=lambda spec: spec.family)
+    def test_every_family(self, spec):
+        assert_matches_reference(generate(spec))
+
+    @pytest.mark.parametrize("shape", DFS_SHAPES)
+    def test_every_dfs_shape(self, shape):
+        assert_matches_reference(DFS_SHAPES[shape](2000))
+
+    @pytest.mark.parametrize("above", [0, 5], ids=lambda a: f"above{a}")
+    def test_hub_resumed_with_many_slots_left(self, above):
+        # Past 256 slots left the count a suspended hub keeps is no longer
+        # one of the interpreter's shared small ints.
+        g, hub = hub_with_pieces([1, 3, 2] * 100, above)
+        assert g.indptr[hub + 1] - g.indptr[hub] > 300
+        assert_matches_reference(g)
 
 
 class TestArticulationPoints:

@@ -375,7 +375,7 @@ class TestDot:
     def test_statement_counts_and_grammar(self):
         g = bowtie()
         bf = build_block_forest(g)
-        text = export_dot(g, bf, compute_sq_sizes(bf))
+        text = export_dot(g.labels, bf, compute_sq_sizes(bf))
         lines = text.splitlines()
         assert lines[0] == "graph block_forest {"
         assert lines[-1] == "}"
@@ -408,7 +408,7 @@ class TestDot:
             for r in range(bf.num_rounds):
                 want += [f"  s{v} -- r{r};" for v in bf.round_members(r)]
             want.append("}")
-            assert export_dot(g, bf, sizes) == "".join(ln + "\n" for ln in want), g.labels
+            assert export_dot(g.labels, bf, sizes) == "".join(ln + "\n" for ln in want), g.labels
 
     def test_label_escaping(self, capsys, tmp_path):
         path = tmp_path / "weird.edges"
@@ -422,7 +422,7 @@ class TestDot:
     def test_graphviz_accepts_output(self, tmp_path):
         g = bowtie()
         bf = build_block_forest(g)
-        text = export_dot(g, bf, compute_sq_sizes(bf))
+        text = export_dot(g.labels, bf, compute_sq_sizes(bf))
         proc = subprocess.run(["dot", "-Tcanon"], input=text, capture_output=True, text=True)
         assert proc.returncode == 0
 

@@ -26,12 +26,11 @@ from _helpers import (
     all_graphs_up_to,
     assert_dfs_matches_forest,
     bowtie,
+    DFS_SHAPES,
     broom,
-    cactus,
     forest_impacts,
     graph_from,
     hub_with_pieces,
-    isolated_and_small,
     long_cycle,
     path6,
     seeded_gnm_graphs,
@@ -231,15 +230,6 @@ class TestOracleEquivalence:
             bf = build_block_forest(g)
             impacts = forest_impacts(g)[0]
             assert {v for v in range(g.n) if impacts[v] >= 1} == articulation_points(bf)
-
-
-DFS_SHAPES = {
-    "long-cycle": long_cycle,
-    "cactus": lambda size: cactus(size // 4, seed=size),
-    "broom": lambda size: broom(size // 2, size - size // 2),
-    "star-of-cliques": lambda size: star_of_cliques(max(size // 4, 1), 5),
-    "isolated-and-small": lambda size: isolated_and_small(size // 2, seed=size),
-}
 
 
 class TestDfsAgainstForest:

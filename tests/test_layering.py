@@ -21,7 +21,7 @@ LAYERS = {
     "graph": set(),
     "forest": {"graph"},
     "impact": {"forest", "graph"},
-    "dot": {"forest", "graph"},
+    "dot": {"forest"},
     "oracle": {"graph", "impact"},
     "bench": {"graph", "impact"},
 }

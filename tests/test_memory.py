@@ -5,7 +5,7 @@ unlike the process's RSS these bounds do not move with allocator or VM noise.
 Each bound sits about 10 % above the value measured on Python 3.11 when it
 was set (in the comment beside it): storing the labels of an integer-labeled
 graph as strings adds ~62 bytes per vertex, a boxed int per suspended
-vertex in the impact DFS ~32, and a set of one boxed key per edge in a
+vertex in a DFS ~32, and a set of one boxed key per edge in a
 parser 64 to 72 bytes per kept edge.
 """
 
@@ -14,6 +14,8 @@ import tracemalloc
 
 from blockimpact import (
     GeneratorSpec,
+    build_block_forest,
+    cli,
     compute_all_impacts,
     format_edge_list,
     generate,
@@ -92,3 +94,44 @@ def test_parse_disjoint_edges_peak_per_edge():
         (g, dropped), _, peak = _traced(lambda: parse(text))
         assert (g.n, g.m, dropped) == (2 * edges, edges, 0)
         assert peak / g.m < bound, (parse.__name__, peak / g.m)
+
+
+def test_build_block_forest_peak_per_vertex():
+    # A suspended vertex keeps the count of slots it has left, mostly a
+    # shared small int, not a boxed position (217.9 and 297.6 with one).
+    for spec, bound in (
+        (GeneratorSpec("path", 2**16), 205),  # 185.9 measured
+        (GeneratorSpec("clique-chain", 1 + 7 * 2**13, k=8), 292),  # 265.6 measured
+    ):
+        g = generate(spec)
+        bf, _, peak = _traced(lambda: build_block_forest(g))
+        assert bf.n_squares == g.n
+        assert peak / g.n < bound, (spec.family, peak / g.n)
+
+
+def test_dot_frees_the_csr_before_the_text(tmp_path, monkeypatch, capsys):
+    # When the text is built only the labels, the forest (with the edge
+    # table) and the subtree sizes are left: not the CSR (259.3 with it).
+    clean = generate(GeneratorSpec("clique-chain", 1 + 7 * 2340, k=8))
+    path = tmp_path / "chain.dimacs"
+    path.write_text(f"p edge {clean.n} {clean.m}\n" + "".join(f"e {u + 1} {w + 1}\n" for u, w in clean.edges))
+    n = clean.n
+    del clean
+    live = []
+    export_dot = cli.export_dot
+
+    def probe(*args):
+        live.append(tracemalloc.get_traced_memory()[0])
+        return export_dot(*args)
+
+    monkeypatch.setattr(cli, "export_dot", probe)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = cli.run(["dot", "--format", "dimacs", str(path)])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert capsys.readouterr().out.startswith("graph block_forest {")
+    assert (live[0] - base) / n < 171, (live[0] - base) / n  # 155.0 measured

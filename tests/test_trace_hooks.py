@@ -13,7 +13,7 @@ for path in (str(ROOT), str(ROOT / "src")):
 from blockimpact import cli, impact  # noqa: E402
 from perfbench.tracing import Tracer, rebound  # noqa: E402
 
-from _helpers import bowtie, forest_impacts  # noqa: E402
+from _helpers import BOWTIE_TEXT, bowtie, forest_impacts  # noqa: E402
 
 
 def test_rebound_wraps_entry_points_and_restores_them():
@@ -30,3 +30,16 @@ def test_rebound_wraps_entry_points_and_restores_them():
     ]
     assert tracer.counters["forest.blocks"] == 2
     assert {m: dict(vars(m)) for m in (cli, impact)} == before
+
+
+def test_dot_goes_through_the_traced_export(tmp_path, capsys):
+    # The tracer counts dot.output_bytes off what cli.export_dot returns, so
+    # `dot` must build its text through that module global.
+    path = tmp_path / "bowtie.edges"
+    path.write_text(BOWTIE_TEXT)
+    tracer = Tracer("t")
+    with rebound(tracer):
+        assert cli.run(["dot", str(path)]) == 0
+    written = capsys.readouterr().out.encode()
+    assert "dot.export_dot" in [s["name"] for s in tracer.spans]
+    assert tracer.counters["dot.output_bytes"] == len(written) > 0
