@@ -8,11 +8,11 @@ table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
 pointer plus one boxed int each. Labels are a list of strings when they come
 from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
 ``Graph.from_edges`` given a count, and so :func:`generate`) hold a
-:class:`DecimalLabels` instead, which makes each label when it is read. The
-parsers keep no per-edge set: a repeated edge shows up in the built CSR as a
-vertex listing a neighbour twice, and only then is the CSR built again. This
-module imports nothing else from the package; the component labeling lives in
-:mod:`blockimpact.impact`.
+:class:`DecimalLabels` instead, which makes each label when it is read. Every
+builder ends in one repeat check, which keeps no per-edge set: a repeated edge
+shows up in the built CSR as a vertex listing a neighbour twice, and only then
+is the CSR built again. This module imports nothing else from the package; the
+component labeling lives in :mod:`blockimpact.impact`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, islice, zip_longest
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
@@ -108,9 +108,9 @@ class Graph:
 
         ``vertices`` is either a vertex count (labels are the decimal ids,
         as a :class:`DecimalLabels`) or the full list of labels. Raises
-        ValueError on a negative count, repeated labels, out-of-range ids,
-        self-loops, or repeated edges: callers that accept dirty input (the
-        parsers) are expected to clean it first.
+        ValueError on a negative count, repeated labels, out-of-range ids or
+        self-loops (found before any repeat, wherever they sit), and on a
+        repeated edge, named by its first repeating pair as given.
         """
         if isinstance(vertices, int):
             if vertices < 0:
@@ -122,22 +122,20 @@ class Graph:
                 raise ValueError("duplicate vertex labels")
         n = len(labels)
 
-        # Its own key set, not the parsers' marking pass: it names the repeated
-        # edge, and the pass saved no time on `generate`'s 2^20-vertex path.
         ends = array("q")
-        seen: set[int] = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u << 32) | v if u < v else (v << 32) | u
-            if key in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
             ends.append(u)
             ends.append(v)
-        return _from_clean_edges(labels, ends)
+        g, repeats = _without_repeats(labels, ends, 0)
+        if repeats:
+            # g.edges is the given pairs less the repeats: the first pair it lacks repeats.
+            u, v = next(p for p, q in zip_longest(zip(ends[::2], ends[1::2]), g.edges) if p != q)
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        return g
 
     @property
     def edges(self) -> list[tuple[int, int]]:
@@ -160,8 +158,8 @@ MAX_DIMACS_VERTICES = 2**26
 def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
     """The CSR graph over the flat edge table ``ends`` (``u0, w0, u1, w1,
     ...``), whose edges must be in range and free of self-loops but may repeat
-    (:func:`_without_repeats` finds repeats): the one CSR construction behind
-    the parsers and :meth:`Graph.from_edges`. The graph keeps ``ends`` itself."""
+    (:func:`_without_repeats` finds repeats): the one CSR construction, which
+    every builder reaches through that check. The graph keeps ``ends`` itself."""
     n = len(labels)
     deg = [0] * n
     for x in ends:
@@ -195,8 +193,8 @@ def _lists_a_neighbour_twice(indptr: list[int], nbr: array) -> bool:
 
 
 def _without_repeats(labels: Sequence[str], ends: array, dropped: int) -> ParseResult:
-    """A parser's result over its loop-free ``ends``: their CSR if no vertex lists
-    a neighbour twice, else the CSR of each edge's first line, repeats in ``dropped``."""
+    """A builder's result over its loop-free ``ends``: their CSR if no vertex lists
+    a neighbour twice, else the CSR of each edge's first pair, repeats in ``dropped``."""
     g = _from_clean_edges(labels, ends)
     if not _lists_a_neighbour_twice(g.indptr, g.nbr):
         return ParseResult(g, dropped)

@@ -245,7 +245,8 @@ def _dimacs_text(g: Graph) -> str:
 class TestCsrBuilds:
     """Input without repeated edges has its CSR built once; only a repeat
     sends the parse through the filter and a second build. Both ways give
-    equal graphs, so a repeat check that errs shows only in the count."""
+    equal graphs, so a repeat check that errs shows only in the count.
+    ``Graph.from_edges`` goes through the same repeat check."""
 
     SHAPES = {
         "gnm": lambda: generate(GeneratorSpec("gnm", 600, m=2400, seed=3)),
@@ -281,6 +282,15 @@ class TestCsrBuilds:
         got, dropped = (parse_dimacs if dimacs else parse_edge_list)(text)
         assert (got.m, dropped, builds) == (g.m, 0, [2 * g.m])
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_from_edges_builds_once_through_the_repeat_check(self, monkeypatch, shape):
+        g = self.SHAPES[shape]()
+        builds, checks = self._builds(monkeypatch), []
+        check = graph_mod._lists_a_neighbour_twice
+        monkeypatch.setattr(graph_mod, "_lists_a_neighbour_twice", lambda *a: checks.append(1) or check(*a))
+        assert Graph.from_edges(g.n, g.edges) == g
+        assert (builds, checks) == ([2 * g.m], [1])
+
     @pytest.mark.parametrize("dimacs", [False, True], ids=["edgelist", "dimacs"])
     def test_only_a_repeat_builds_twice(self, monkeypatch, dimacs):
         # On TestDirtyInput's texts: one whose only dropped lines are
@@ -314,6 +324,52 @@ class TestGraphInvariants:
             Graph.from_edges(2, [(0, 5)])
         with pytest.raises(ValueError, match="duplicate vertex labels"):
             Graph.from_edges(["a", "a"], [])
+
+    @pytest.mark.parametrize(
+        "edges, named",
+        [
+            ([(0, 1), (1, 0)], (1, 0)),
+            ([(0, 1), (1, 2), (0, 2), (2, 0), (0, 1)], (2, 0)),
+            ([(0, 1), (1, 2), (2, 3), (3, 0), (3, 2)], (3, 2)),
+            ([(2, 3), (2, 3), (2, 3)], (2, 3)),
+        ],
+        ids=["flipped", "first-of-two", "last-pair", "thrice"],
+    )
+    def test_from_edges_names_the_first_repeat_as_given(self, edges, named):
+        with pytest.raises(ValueError, match=rf"^duplicate edge \({named[0]}, {named[1]}\)$"):
+            Graph.from_edges(4, edges)
+
+    def test_from_edges_names_repeats_like_a_key_set(self):
+        rng = random.Random(16)
+        raised = 0
+        for _ in range(2000):
+            n = rng.randint(2, 7)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 12))]
+            first, seen = None, set()
+            for e in edges:
+                if frozenset(e) in seen:
+                    first = e
+                    break
+                seen.add(frozenset(e))
+            if first is None:
+                assert Graph.from_edges(n, edges).edges == edges
+            else:
+                raised += 1
+                with pytest.raises(ValueError, match=rf"^duplicate edge \({first[0]}, {first[1]}\)$"):
+                    Graph.from_edges(n, edges)
+        assert 500 < raised < 1500
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (1, 0), (0, 5)], "out of range"),
+            ([(0, 1), (0, 1), (2, 2)], "self-loop"),
+        ],
+        ids=["range", "self-loop"],
+    )
+    def test_from_edges_finds_range_and_loop_errors_before_repeats(self, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph.from_edges(3, edges)
 
     def test_from_edges_rejects_negative_vertex_count(self):
         with pytest.raises(ValueError, match="vertex count must be >= 0"):

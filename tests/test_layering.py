@@ -67,6 +67,18 @@ def test_component_labeling_type_lives_in_impact():
     assert homes == ["impact"]
 
 
+def test_every_builder_reaches_the_csr_through_the_repeat_check():
+    callers = {
+        (path.stem, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_from_clean_edges"
+    }
+    assert callers == {("graph", "_without_repeats")}
+
+
 # Where a package name counts as used. Tests other than the acceptance tests
 # do not count: a name that only they call is surface kept for tests alone.
 CALLER_FILES = [

@@ -5,8 +5,8 @@ unlike the process's RSS these bounds do not move with allocator or VM noise.
 Each bound sits about 10 % above the value measured on Python 3.11 when it
 was set (in the comment beside it): storing the labels of an integer-labeled
 graph as strings adds ~62 bytes per vertex, a boxed int per suspended
-vertex in a DFS ~32, and a set of one boxed key per edge in a
-parser 64 to 72 bytes per kept edge.
+vertex in a DFS ~32, and a set of one boxed key per edge in a graph
+builder 64 to 72 bytes per kept edge.
 """
 
 import gc
@@ -38,11 +38,16 @@ def _traced(fn):
 
 
 def test_generate_builds_no_label_strings():
-    n = 2**16
-    g, kept, peak = _traced(lambda: generate(GeneratorSpec("path", n)))
-    assert g.n == n
-    assert kept / n < 83, kept / n  # 75.1 measured
-    assert peak / n < 345, peak / n  # 313.7 measured
+    # Nor a per-edge key set: repeats are found on the built CSR (313.7 and
+    # 908.8 peak with one).
+    for spec, kept_bound, peak_bound in (
+        (GeneratorSpec("path", 2**16), 83, 275),  # 75.1 and 249.7 measured
+        (GeneratorSpec("clique-chain", 1 + 7 * 2**13, k=8), 189, 698),  # 171.6 and 634.6 measured
+    ):
+        g, kept, peak = _traced(lambda: generate(spec))
+        assert g.n == spec.n
+        assert kept / g.n < kept_bound, (spec.family, kept / g.n)
+        assert peak / g.n < peak_bound, (spec.family, peak / g.n)
 
 
 def test_compute_all_impacts_peak_on_a_path():
