@@ -7,11 +7,12 @@ rest of the package indexes most, while the neighbour slots and the edge
 table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
 pointer plus one boxed int each. Labels are a list of strings when they come
 from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
-``Graph.from_edges`` given a count, and so :func:`generate`) hold a
+``Graph.from_edges`` given a count, and :func:`generate`) hold a
 :class:`DecimalLabels` instead, which makes each label when it is read. Every
-builder ends in one repeat check, which keeps no per-edge set: a repeated edge
-shows up in the built CSR as a vertex listing a neighbour twice, and only then
-is the CSR built again. This module imports nothing else from the package; the
+builder of given edges ends in one repeat check, which keeps no per-edge set: a
+repeated edge shows up in the built CSR as a vertex listing a neighbour twice,
+and only then is the CSR built again; :func:`generate`, whose edges cannot
+repeat, skips it. This module imports nothing else from the package; the
 component labeling lives in :mod:`blockimpact.impact`.
 """
 
@@ -23,7 +24,7 @@ import random
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, islice, zip_longest
+from itertools import accumulate, chain, combinations, islice, repeat, zip_longest
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple
 
@@ -159,7 +160,8 @@ def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
     """The CSR graph over the flat edge table ``ends`` (``u0, w0, u1, w1,
     ...``), whose edges must be in range and free of self-loops but may repeat
     (:func:`_without_repeats` finds repeats): the one CSR construction, which
-    every builder reaches through that check. The graph keeps ``ends`` itself."""
+    every builder of given edges reaches through that check and :func:`generate`
+    directly. The graph keeps ``ends`` itself."""
     n = len(labels)
     deg = [0] * n
     for x in ends:
@@ -363,20 +365,17 @@ class GeneratorSpec:
 
 def _pair_from_index(idx: int, n: int) -> tuple[int, int]:
     # Unrank idx in the lexicographic list of pairs (u, v), u < v. Row u
-    # starts at offset(u) = u*n - u*(u+1)/2; isqrt gives the row up to
-    # rounding, fixed by the adjustment steps.
+    # starts at start(u) = u*n - u*(u+1)/2 and holds n-1-u pairs; idx's row is
+    # the floor of the smaller root of start(x) = idx. isqrt rounds the square
+    # root down by under 1, which moves that root up by under 1/2, so u is
+    # idx's row or the row after it.
     a = 2 * n - 1
     u = (a - math.isqrt(a * a - 8 * idx)) // 2
-
-    def offset(row: int) -> int:
-        return row * n - (row * (row + 1)) // 2
-
-    while u > 0 and offset(u) > idx:
+    start = u * n - (u * (u + 1)) // 2
+    if start > idx:
         u -= 1
-    while offset(u + 1) <= idx:
-        u += 1
-    v = u + 1 + (idx - offset(u))
-    return u, v
+        start -= n - 1 - u
+    return u, u + 1 + (idx - start)
 
 
 def generate(spec: GeneratorSpec) -> Graph:
@@ -385,7 +384,10 @@ def generate(spec: GeneratorSpec) -> Graph:
     gnm samples exactly ``m`` distinct edges uniformly (no loops); path and
     star are what they say; balanced-tree attaches vertex i to (i-1)//k;
     clique-chain strings together k-cliques that share one vertex with their
-    predecessor, so it needs (n-1) divisible by (k-1).
+    predecessor, so it needs (n-1) divisible by (k-1). Each family streams its
+    pairs into the CSR build with no range, loop or repeat check: all are in
+    range and loop-free, and none repeats (gnm's picks are distinct indices
+    of the pair list), so the graph is what ``Graph.from_edges`` would build.
     """
     family, n = spec.family, spec.n
     if family not in GENERATOR_FAMILIES:
@@ -400,26 +402,22 @@ def generate(spec: GeneratorSpec) -> Graph:
         max_m = n * (n - 1) // 2
         if not (0 <= m <= max_m):
             raise ValueError(f"gnm needs 0 <= m <= n(n-1)/2 = {max_m}, got {m}")
-        rng = random.Random(spec.seed)
-        picks = rng.sample(range(max_m), m) if m else []
-        edges = [_pair_from_index(i, n) for i in picks]
+        picks = random.Random(spec.seed).sample(range(max_m), m)
+        pairs: Iterable[tuple[int, int]] = map(_pair_from_index, picks, repeat(n))
     elif family == "path":
-        edges = [(i, i + 1) for i in range(n - 1)]
+        pairs = zip(range(n - 1), range(1, n))
     elif family == "star":
-        edges = [(0, i) for i in range(1, n)]
+        pairs = zip(repeat(0), range(1, n))
     elif family == "balanced-tree":
         k = 2 if spec.k is None else spec.k
         if k < 1:
             raise ValueError("balanced-tree needs k >= 1")
-        edges = [((i - 1) // k, i) for i in range(1, n)]
+        pairs = (((i - 1) // k, i) for i in range(1, n))
     else:  # clique-chain
         k = 3 if spec.k is None else spec.k
         if k < 2:
             raise ValueError("clique-chain needs k >= 2")
         if n > 0 and (n - 1) % (k - 1) != 0:
             raise ValueError(f"clique-chain needs (n-1) divisible by (k-1), got n={n}, k={k}")
-        edges = []
-        for base in range(0, n - 1, k - 1):
-            block = range(base, base + k)
-            edges.extend((u, v) for u in block for v in block if u < v)
-    return Graph.from_edges(n, edges)
+        pairs = chain.from_iterable(combinations(range(b, b + k), 2) for b in range(0, n - 1, k - 1))
+    return _from_clean_edges(DecimalLabels(0, n), array("q", chain.from_iterable(pairs)))

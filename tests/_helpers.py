@@ -1,12 +1,14 @@
 """Shared fixtures: named small graphs, corpora, the structural validator,
 the paper's block-forest method as a second linear-time oracle, a recursive
-reference of the block forest's member order, and DFS shapes that scale,
-with the check that both DFSs agree on them."""
+reference of the block forest's member order, DFS shapes that scale, with
+the check that both DFSs agree on them, and the tuple edge lists that
+``generate`` is checked against."""
 
 from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 import random
 import sys
 
@@ -85,6 +87,47 @@ def seeded_gnm_graphs(count: int, n_max: int, rng) -> list[Graph]:
         m = rng.randint(0, n * (n - 1) // 2)
         out.append(generate(GeneratorSpec("gnm", n, m=m, seed=rng.randrange(2**63))))
     return out
+
+
+def reference_pair_from_index(idx: int, n: int) -> tuple[int, int]:
+    """Pair ``idx`` of the lexicographic list of pairs (u, v), u < v, of
+    ``range(n)``, with the row offset recomputed by a closure at every step:
+    the reference for ``graph._pair_from_index``, which keeps it running."""
+    a = 2 * n - 1
+    u = (a - math.isqrt(a * a - 8 * idx)) // 2
+
+    def offset(row: int) -> int:
+        return row * n - (row * (row + 1)) // 2
+
+    while u > 0 and offset(u) > idx:
+        u -= 1
+    while offset(u + 1) <= idx:
+        u += 1
+    return u, u + 1 + (idx - offset(u))
+
+
+def reference_generated_edges(spec: GeneratorSpec) -> list[tuple[int, int]]:
+    """The edges ``generate(spec)`` records, in order, as a list of tuples
+    built per family with no stream: ``Graph.from_edges(spec.n, ...)`` of it,
+    with its range, loop and repeat checks, is the reference for
+    ``generate(spec)``. ``spec`` must be one ``generate`` accepts."""
+    n, k = spec.n, spec.k
+    if spec.family == "gnm":
+        picks = random.Random(spec.seed).sample(range(n * (n - 1) // 2), spec.m) if spec.m else []
+        return [reference_pair_from_index(i, n) for i in picks]
+    if spec.family == "path":
+        return [(i, i + 1) for i in range(n - 1)]
+    if spec.family == "star":
+        return [(0, i) for i in range(1, n)]
+    if spec.family == "balanced-tree":
+        k = 2 if k is None else k
+        return [((i - 1) // k, i) for i in range(1, n)]
+    k = 3 if k is None else k  # clique-chain
+    edges = []
+    for base in range(0, n - 1, k - 1):
+        block = range(base, base + k)
+        edges.extend((u, v) for u in block for v in block if u < v)
+    return edges
 
 
 def closure_components(g: Graph, without: int | None = None) -> list[int]:

@@ -25,7 +25,14 @@ import blockimpact.graph as graph_mod
 from blockimpact.graph import DecimalLabels
 from blockimpact.oracle import _labeling
 
-from _helpers import all_graphs_up_to, closure_components, long_cycle, vertex
+from _helpers import (
+    all_graphs_up_to,
+    closure_components,
+    long_cycle,
+    reference_generated_edges,
+    reference_pair_from_index,
+    vertex,
+)
 
 
 def degrees(g: Graph) -> list[int]:
@@ -246,7 +253,8 @@ class TestCsrBuilds:
     """Input without repeated edges has its CSR built once; only a repeat
     sends the parse through the filter and a second build. Both ways give
     equal graphs, so a repeat check that errs shows only in the count.
-    ``Graph.from_edges`` goes through the same repeat check."""
+    ``Graph.from_edges`` goes through the same repeat check; ``generate``,
+    whose edges cannot repeat, builds once with no check."""
 
     SHAPES = {
         "gnm": lambda: generate(GeneratorSpec("gnm", 600, m=2400, seed=3)),
@@ -281,6 +289,14 @@ class TestCsrBuilds:
         builds = self._builds(monkeypatch)
         got, dropped = (parse_dimacs if dimacs else parse_edge_list)(text)
         assert (got.m, dropped, builds) == (g.m, 0, [2 * g.m])
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_generate_builds_once_without_the_repeat_check(self, monkeypatch, family):
+        want = self.SHAPES[family]()
+        builds, checks = self._builds(monkeypatch), []
+        monkeypatch.setattr(graph_mod, "_lists_a_neighbour_twice", lambda *a: checks.append(1))
+        assert self.SHAPES[family]() == want
+        assert (builds, checks) == ([2 * want.m], [])
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_from_edges_builds_once_through_the_repeat_check(self, monkeypatch, shape):
@@ -676,3 +692,92 @@ class TestGenerate:
         assert sum(degrees(g)) == 2 * g.m
         again = generate(spec)
         assert again.edges == g.edges
+
+
+def _assert_generates_reference(spec: GeneratorSpec) -> None:
+    """``generate(spec)`` is ``Graph.from_edges`` of the reference tuple
+    list, field for field, though it skips that builder's range, loop and
+    repeat checks; and its CSR lists no neighbour twice."""
+    g = generate(spec)
+    want = Graph.from_edges(spec.n, reference_generated_edges(spec))
+    for field in fields(Graph):
+        assert getattr(g, field.name) == getattr(want, field.name), (field.name, spec)
+    assert type(g.labels) is DecimalLabels
+    assert not graph_mod._lists_a_neighbour_twice(g.indptr, g.nbr), spec
+
+
+def _small_specs(family: str):
+    """Every valid spec of ``family`` with n <= 60 and k <= 6; for gnm, edge
+    counts from none to all and three seeds each."""
+    for n in range(61):
+        if family == "gnm":
+            top = n * (n - 1) // 2
+            for m in sorted({0, min(1, top), min(n, top), min(2 * n, top), top // 2, top}):
+                for seed in range(3):
+                    yield GeneratorSpec(family, n, m=m, seed=seed)
+            continue
+        for k in range(1, 7):
+            if family != "clique-chain" or (k >= 2 and (n == 0 or (n - 1) % (k - 1) == 0)):
+                yield GeneratorSpec(family, n, k=k)
+
+
+class TestGenerateMatchesFromEdges:
+    """``generate`` builds its CSR with none of ``Graph.from_edges``'s checks:
+    its edges are in range, loop-free and distinct by construction. These
+    tests carry that guarantee, on small graphs of every shape, on random
+    specs and at ~2^20 elements per family."""
+
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_small_specs(self, family):
+        for spec in _small_specs(family):
+            _assert_generates_reference(spec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(GENERATOR_FAMILIES),
+        n=st.integers(0, 400),
+        density=st.floats(0, 1),
+        k=st.integers(1, 9),
+        seed=st.integers(0, 2**64),
+    )
+    def test_random_specs(self, family, n, density, k, seed):
+        if family == "clique-chain":
+            k = max(k, 2)
+            n = 1 + (k - 1) * max(0, (n - 1) // (k - 1))
+        _assert_generates_reference(
+            GeneratorSpec(family, n, m=int(density * (n * (n - 1) // 2)), k=k, seed=seed)
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GeneratorSpec("path", 1 << 19),
+            GeneratorSpec("star", 1 << 19),
+            GeneratorSpec("balanced-tree", 1 << 19, k=3),
+            GeneratorSpec("gnm", 1 << 18, m=3 << 18, seed=19),
+            GeneratorSpec("clique-chain", 1 + 7 * 29_959, k=8),
+        ],
+        ids=lambda spec: spec.family,
+    )
+    def test_near_2_20_elements(self, spec):
+        _assert_generates_reference(spec)
+
+    def test_pair_from_index_exhaustively(self):
+        for n in range(80):
+            pairs = list(itertools.combinations(range(n), 2))
+            assert [graph_mod._pair_from_index(i, n) for i in range(len(pairs))] == pairs, n
+
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 20, graph_mod.MAX_DIMACS_VERTICES, 10**9])
+    def test_pair_from_index_at_row_ends(self, n):
+        # Row u starts with (u, u+1) and ends with (u, n-1); the last index
+        # of all is the last row's one pair.
+        rng = random.Random(n)
+        unrank, ref = graph_mod._pair_from_index, reference_pair_from_index
+        for u in [0, 1, n - 3, n - 2, *rng.sample(range(n - 1), 200)]:
+            first = u * n - u * (u + 1) // 2
+            last = first + n - 2 - u
+            assert unrank(first, n) == ref(first, n) == (u, u + 1), (n, u)
+            assert unrank(last, n) == ref(last, n) == (u, n - 1), (n, u)
+        top = n * (n - 1) // 2 - 1
+        assert unrank(top, n) == ref(top, n) == (n - 2, n - 1)

@@ -68,6 +68,10 @@ def test_component_labeling_type_lives_in_impact():
 
 
 def test_every_builder_reaches_the_csr_through_the_repeat_check():
+    """The rule covers builders of given edges: the parsers and
+    ``Graph.from_edges``. ``generate`` makes edges that cannot repeat and
+    builds the CSR directly; ``test_graph_core.TestGenerateMatchesFromEdges``
+    checks that it gives what ``Graph.from_edges`` would."""
     callers = {
         (path.stem, fn.name)
         for path in sorted(PACKAGE.glob("*.py"))
@@ -76,7 +80,7 @@ def test_every_builder_reaches_the_csr_through_the_repeat_check():
         for node in ast.walk(fn)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_from_clean_edges"
     }
-    assert callers == {("graph", "_without_repeats")}
+    assert callers == {("graph", "_without_repeats"), ("graph", "generate")}
 
 
 # Where a package name counts as used. Tests other than the acceptance tests

@@ -38,11 +38,13 @@ def _traced(fn):
 
 
 def test_generate_builds_no_label_strings():
-    # Nor a per-edge key set: repeats are found on the built CSR (313.7 and
-    # 908.8 peak with one).
+    # Nor a per-edge key set, a tuple edge list or a repeat check: the pairs
+    # stream into the edge table (249.7, 634.6 and 489.8 peak through a tuple
+    # list and the repeat check; 313.7 and 908.8 with a key set as well).
     for spec, kept_bound, peak_bound in (
-        (GeneratorSpec("path", 2**16), 83, 275),  # 75.1 and 249.7 measured
-        (GeneratorSpec("clique-chain", 1 + 7 * 2**13, k=8), 189, 698),  # 171.6 and 634.6 measured
+        (GeneratorSpec("path", 2**16), 83, 134),  # 73.4 and 121.4 measured
+        (GeneratorSpec("clique-chain", 1 + 7 * 2**13, k=8), 189, 240),  # 169.6 and 217.6 measured
+        (GeneratorSpec("gnm", 2**15, m=2**16, seed=1), 117, 257),  # 106.2 and 233.6 measured
     ):
         g, kept, peak = _traced(lambda: generate(spec))
         assert g.n == spec.n
