@@ -267,7 +267,7 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 def _cmd_dot(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     g = _load_graph(args, err)
     bf, labels = build_block_forest(g), g.labels
-    del g  # the forest keeps the edge table; the CSR goes before the text
+    del g  # frees the CSR and the edge table before the text
     text = export_dot(labels, bf, compute_sq_sizes(bf))
     for lo in range(0, len(text), CHARS_PER_WRITE):
         out.write(text[lo:lo + CHARS_PER_WRITE])

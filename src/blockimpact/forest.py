@@ -17,7 +17,6 @@ single-square tree rooted at itself.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -30,9 +29,8 @@ class BlockForest:
 
     ``member_flat[member_indptr[r]:member_indptr[r+1]]`` lists round r's
     member squares in attachment order. ``parent`` covers all nodes (squares
-    then rounds), -1 at roots. ``ends`` is the graph's flat edge table
-    (:attr:`blockimpact.graph.Graph.ends`), held by reference, from which
-    :attr:`edge_round` is derived on first use.
+    then rounds), -1 at roots. It holds no part of the graph:
+    :func:`edge_rounds` reads the edge table from the graph it is given.
     """
 
     n_squares: int
@@ -40,10 +38,8 @@ class BlockForest:
     member_indptr: list[int]
     parent: list[int]
     roots: list[int]
-    ends: array
     _square_indptr: list[int] | None = None
     _square_rounds: list[int] | None = None
-    _edge_round: list[int] | None = None
 
     @property
     def num_rounds(self) -> int:
@@ -55,26 +51,6 @@ class BlockForest:
 
     def round_members(self, r: int) -> list[int]:
         return self.member_flat[self.member_indptr[r]:self.member_indptr[r + 1]]
-
-    @property
-    def edge_round(self) -> list[int]:
-        """Edge id -> the unique round node whose block contains the edge.
-
-        Edge (a, b) lies in a round node adjacent to both squares: their
-        shared parent, or a's parent when that round hangs below b, or else
-        b's parent. This holds under any rooting, so re-rooted copies share
-        the cached list.
-        """
-        if self._edge_round is None:
-            parent = self.parent
-            out = []
-            append = out.append
-            pairs = iter(self.ends)
-            for a, b in zip(pairs, pairs):
-                pa = parent[a]
-                append(pa if parent[b] == pa or parent[pa] == b else parent[b])
-            self._edge_round = out
-        return self._edge_round
 
     def square_rounds(self, v: int) -> list[int]:
         """Absolute ids of the round nodes whose block contains vertex v."""
@@ -214,7 +190,6 @@ def build_block_forest(g: Graph) -> BlockForest:
         member_indptr=member_indptr,
         parent=parent,
         roots=roots,
-        ends=g.ends,
     )
 
 
@@ -228,16 +203,30 @@ def biconnected_components(bf: BlockForest) -> list[set[int]]:
     return [set(bf.round_members(r)) for r in range(bf.num_rounds)]
 
 
+def edge_rounds(g: Graph, bf: BlockForest) -> list[int]:
+    """Edge id of ``g`` -> the unique round node of ``bf`` whose block
+    contains the edge, a new list per call.
+
+    Edge (a, b) lies in a round node adjacent to both squares: their shared
+    parent, or a's parent when that round hangs below b, or else b's parent.
+    This holds under any rooting, so every rooting gives the same list.
+    """
+    parent = bf.parent
+    out = []
+    append = out.append
+    pairs = iter(g.ends)
+    for a, b in zip(pairs, pairs):
+        pa = parent[a]
+        append(pa if parent[b] == pa or parent[pa] == b else parent[b])
+    return out
+
+
 def bridges(g: Graph, bf: BlockForest) -> set[int]:
     """Edge ids whose block has exactly two vertices."""
     indptr = bf.member_indptr
     n = bf.n_squares
-    out = set()
-    for e in range(g.m):
-        r = bf.edge_round[e] - n
-        if indptr[r + 1] - indptr[r] == 2:
-            out.add(e)
-    return out
+    return {e for e, node in enumerate(edge_rounds(g, bf))
+            if indptr[node - n + 1] - indptr[node - n] == 2}
 
 
 def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
@@ -263,8 +252,6 @@ def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
         member_indptr=bf.member_indptr,
         parent=parent,
         roots=roots,
-        ends=bf.ends,
         _square_indptr=bf._square_indptr,
         _square_rounds=bf._square_rounds,
-        _edge_round=bf._edge_round,
     )

@@ -4,8 +4,9 @@ Vertices are contiguous 0-based internal ids; the original input labels are
 kept on the graph so every user-facing output can report them. Adjacency is
 stored CSR-style: ``indptr`` is a plain list, which the DFS-heavy code in the
 rest of the package indexes most, while the neighbour slots and the edge
-table are flat ``array("q")`` buffers of 8 bytes per entry instead of one
-pointer plus one boxed int each. Labels are a list of strings when they come
+table are flat ``array("i")`` buffers of 4 bytes per entry instead of one
+pointer plus one boxed int each, so a graph has at most
+:data:`MAX_VERTICES` vertices. Labels are a list of strings when they come
 from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
 ``Graph.from_edges`` given a count, and :func:`generate`) hold a
 :class:`DecimalLabels` instead, which makes each label when it is read. Every
@@ -89,7 +90,7 @@ class Graph:
     edge appears there exactly twice, once per endpoint. Edge ``e`` is
     ``(ends[2*e], ends[2*e+1])`` as first recorded, and edge ids index
     ``ends`` alone: the adjacency does not carry them. ``nbr`` and ``ends``
-    are ``array("q")``; ``indptr`` is a list, and ``labels`` a list of
+    are ``array("i")``; ``indptr`` is a list, and ``labels`` a list of
     strings or a :class:`DecimalLabels`. There are no self-loops and no
     parallel edges.
     """
@@ -97,8 +98,8 @@ class Graph:
     n: int
     m: int
     indptr: list[int]
-    nbr: array  # typecode "q": neighbour slots, CSR order
-    ends: array  # typecode "q": u0, w0, u1, w1, ... in recorded edge order
+    nbr: array  # typecode "i": neighbour slots, CSR order
+    ends: array  # typecode "i": u0, w0, u1, w1, ... in recorded edge order
     labels: Sequence[str]  # internal id -> original label
 
     @classmethod
@@ -109,13 +110,16 @@ class Graph:
 
         ``vertices`` is either a vertex count (labels are the decimal ids,
         as a :class:`DecimalLabels`) or the full list of labels. Raises
-        ValueError on a negative count, repeated labels, out-of-range ids or
-        self-loops (found before any repeat, wherever they sit), and on a
-        repeated edge, named by its first repeating pair as given.
+        ValueError on a negative count or one above :data:`MAX_VERTICES`,
+        repeated labels, out-of-range ids or self-loops (found before any
+        repeat, wherever they sit), and on a repeated edge, named by its
+        first repeating pair as given.
         """
         if isinstance(vertices, int):
             if vertices < 0:
                 raise ValueError("vertex count must be >= 0")
+            if vertices > MAX_VERTICES:
+                raise ValueError(f"vertex count {vertices} exceeds the limit of {MAX_VERTICES}")
             labels: Sequence[str] = DecimalLabels(0, vertices)
         else:
             labels = list(vertices)
@@ -123,7 +127,7 @@ class Graph:
                 raise ValueError("duplicate vertex labels")
         n = len(labels)
 
-        ends = array("q")
+        ends = array("i")
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
@@ -151,6 +155,10 @@ class ParseResult(NamedTuple):
     dropped: int  # self-loop and duplicate-edge lines discarded
 
 
+# Largest vertex count of any graph, as ids are stored in 4-byte "i" slots;
+# the builders that take a count check it before they allocate.
+MAX_VERTICES = 2**31 - 1
+
 # Largest vertex count a DIMACS ``p`` line may declare: the CSR build
 # allocates per declared vertex, so the count is checked before any allocation.
 MAX_DIMACS_VERTICES = 2**26
@@ -168,7 +176,7 @@ def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
         deg[x] += 1
     indptr = [0, *accumulate(deg)]
     cursor = indptr[:n]
-    nbr = array("q", [0]) * len(ends)
+    nbr = array("i", [0]) * len(ends)
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
         i = cursor[u]
@@ -201,7 +209,7 @@ def _without_repeats(labels: Sequence[str], ends: array, dropped: int) -> ParseR
     if not _lists_a_neighbour_twice(g.indptr, g.nbr):
         return ParseResult(g, dropped)
     del g  # free the first CSR before the filter allocates
-    kept = array("q")
+    kept = array("i")
     seen: set[int] = set()  # smaller end << 32 | larger end, per kept edge
     pairs = iter(ends)
     for u, w in zip(pairs, pairs):
@@ -234,7 +242,7 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
     """
     ids: dict[str, int] = {}  # label -> id, in first-appearance order
     intern = ids.setdefault
-    ends = array("q")
+    ends = array("i")
     append = ends.append
     dropped = 0
     for lineno, line in _numbered_lines(text):
@@ -270,7 +278,7 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
     the retained count wins. Repeats are found as in :func:`parse_edge_list`.
     """
     n: int | None = None
-    ends = array("q")
+    ends = array("i")
     append = ends.append
     dropped = 0
     for lineno, line in _numbered_lines(text):
@@ -394,6 +402,8 @@ def generate(spec: GeneratorSpec) -> Graph:
         raise ValueError(f"unknown family {family!r} (choose from {', '.join(GENERATOR_FAMILIES)})")
     if n < 0:
         raise ValueError("vertex count must be >= 0")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
 
     if family == "gnm":
         if spec.m is None:
@@ -420,4 +430,4 @@ def generate(spec: GeneratorSpec) -> Graph:
         if n > 0 and (n - 1) % (k - 1) != 0:
             raise ValueError(f"clique-chain needs (n-1) divisible by (k-1), got n={n}, k={k}")
         pairs = chain.from_iterable(combinations(range(b, b + k), 2) for b in range(0, n - 1, k - 1))
-    return _from_clean_edges(DecimalLabels(0, n), array("q", chain.from_iterable(pairs)))
+    return _from_clean_edges(DecimalLabels(0, n), array("i", chain.from_iterable(pairs)))

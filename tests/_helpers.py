@@ -26,6 +26,7 @@ from blockimpact import (
     naive_articulation_points,
     parse_edge_list,
 )
+from blockimpact.forest import edge_rounds
 
 BOWTIE_TEXT = "a b\na c\nb c\nc d\nc e\nd e\n"
 PATH6_TEXT = "a b\nb c\nc d\nd e\ne f\n"
@@ -259,8 +260,10 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         assert len(aps) <= n - 2
 
     # Edge partition: each edge is inside exactly one block.
+    edge_round = edge_rounds(g, bf)
+    assert len(edge_round) == g.m
     for e, (u, w) in enumerate(g.edges):
-        node = bf.edge_round[e]
+        node = edge_round[e]
         assert n <= node < n + nrounds
         mem = set(bf.round_members(node - n))
         assert u in mem and w in mem
@@ -296,7 +299,7 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
                     assert induced_connected_without(g, mem, v)
         base = len(cc.component_size)
         for e in range(g.m):
-            node = bf.edge_round[e]
+            node = edge_round[e]
             two = len(bf.round_members(node - n)) == 2
             split = components_without_edge(g, e) > base
             assert two == split

@@ -31,6 +31,7 @@ from blockimpact import (
 )
 from blockimpact.bench import sweep, time_all_impacts
 from blockimpact.cli import run as run_cli
+from blockimpact.forest import edge_rounds
 
 import _acceptance_log
 from _helpers import all_graphs_up_to, check_block_forest, graph_from, seeded_gnm_graphs
@@ -117,8 +118,10 @@ def test_criterion_2_randomized_oracle_equivalence():
         bf = build_block_forest(g)
         assert articulation_points(bf) == naive_articulation_points(g), f"graph {i}"
         # every edge lies in exactly one block, endpoints included
+        edge_round = edge_rounds(g, bf)
+        assert len(edge_round) == g.m, f"graph {i}"
         for e, (u, w) in enumerate(g.edges):
-            node = bf.edge_round[e]
+            node = edge_round[e]
             members = set(bf.round_members(node - g.n))
             assert u in members and w in members, f"graph {i} edge {e}"
             containing = [
@@ -185,10 +188,12 @@ def test_criterion_4_root_invariance():
 def test_criterion_5_linearity():
     """Per-element time stays within a 3x band across n = 2^17..2^21 for each
     family sweep, the 2^20 path completes in under 5 seconds, and the 2^21
-    path (DFS depth 2^21) finishes without touching the recursion limit."""
+    path (DFS depth 2^21) finishes without touching the recursion limit.
+    Each size is timed as the median of 3 runs, so one slow or fast run
+    cannot set a spread."""
     sizes = [1 << 17, 1 << 18, 1 << 19, 1 << 20, 1 << 21]
-    path_rows = sweep("path", sizes, seed=5, repeats=1)
-    gnm_rows = sweep("gnm", sizes, m_per_n=2.0, seed=5, repeats=1)
+    path_rows = sweep("path", sizes, seed=5, repeats=3)
+    gnm_rows = sweep("gnm", sizes, m_per_n=2.0, seed=5, repeats=3)
     for rows in (path_rows, gnm_rows):
         for r in rows:
             print(

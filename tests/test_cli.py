@@ -462,6 +462,12 @@ class TestBench:
         assert code == 2
         assert "error" in err
 
+    def test_size_past_four_byte_ids_is_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--sizes", "2147483648")
+        assert code == 2
+        assert out == ""
+        assert err == "error: vertex count 2147483648 exceeds the limit of 2147483647\n"
+
     def test_bad_sizes_string(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--sizes", "12,oops")
         assert code == 2

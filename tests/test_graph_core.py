@@ -392,6 +392,16 @@ class TestGraphInvariants:
             Graph.from_edges(-3, [])
         assert Graph.from_edges(0, []).n == 0
 
+    def test_from_edges_rejects_a_count_past_four_byte_ids(self, monkeypatch):
+        # Refused before anything is allocated, and the limit is named.
+        for count in (graph_mod.MAX_VERTICES + 1, 10**30):
+            with pytest.raises(ValueError, match=f"exceeds the limit of {2**31 - 1}"):
+                Graph.from_edges(count, [])
+        monkeypatch.setattr(graph_mod, "MAX_VERTICES", 4)
+        assert Graph.from_edges(4, [(0, 3)]).n == 4
+        with pytest.raises(ValueError, match="vertex count 5 exceeds the limit of 4"):
+            Graph.from_edges(5, [(0, 3)])
+
     def test_each_edge_in_both_adjacencies(self):
         g, _ = parse_edge_list("a b\nb c\nc a\nc d")
         assert len(g.nbr) == 2 * g.m
@@ -405,27 +415,35 @@ class TestGraphInvariants:
 
 
 class TestStorage:
-    """``nbr`` and ``ends`` are flat ``array("q")`` on every way a graph is
-    built; ``edges`` is derived from ``ends`` in recorded order. Labels are
-    a list only when they came from an edge list."""
+    """``nbr`` and ``ends`` are flat 4-byte ``array("i")`` on every way a
+    graph is built, the CSR rebuilt after dropping repeats included;
+    ``edges`` is derived from ``ends`` in recorded order. Labels are a list
+    only when they came from an edge list."""
 
     BUILDERS = {
         "edgelist": lambda: parse_edge_list("a b\nc a\nb c\nc d\nv e")[0],
         "dimacs": lambda: parse_dimacs("p edge 5 4\ne 1 2\ne 3 1\ne 2 3\ne 3 4\n")[0],
         "from_edges": lambda: Graph.from_edges(5, [(0, 1), (2, 0), (1, 2), (2, 3)]),
         "generate": lambda: generate(GeneratorSpec("gnm", 30, m=50, seed=5)),
+        # The repeats "a c" and "b c" make the parser build its CSR a second time.
+        "edgelist-repeats": lambda: parse_edge_list("a b\nc a\na c\nb c\nc b\nc d\nv e")[0],
     }
     LABELS = {"edgelist": list, "dimacs": DecimalLabels, "from_edges": DecimalLabels,
-              "generate": DecimalLabels}
+              "generate": DecimalLabels, "edgelist-repeats": list}
 
     @pytest.mark.parametrize("name", BUILDERS)
-    def test_flat_int64_arrays(self, name):
+    def test_flat_four_byte_arrays(self, name):
         g = self.BUILDERS[name]()
         for field_name in ("nbr", "ends"):
             field = getattr(g, field_name)
-            assert isinstance(field, array) and field.typecode == "q", field_name
+            assert isinstance(field, array) and field.typecode == "i", field_name
+            assert field.itemsize == 4, field_name
         assert type(g.indptr) is list and type(g.labels) is self.LABELS[name]
         assert len(g.ends) == 2 * g.m and len(g.nbr) == 2 * g.m
+
+    def test_every_vertex_id_fits_the_slots(self):
+        assert graph_mod.MAX_DIMACS_VERTICES < graph_mod.MAX_VERTICES == 2**31 - 1
+        assert array("i", [graph_mod.MAX_VERTICES - 1]).itemsize == 4
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
     def test_edges_in_recorded_order(self, build):
@@ -436,7 +454,7 @@ class TestStorage:
 
     def test_recorded_order_of_each_builder(self):
         want = [(0, 1), (2, 0), (1, 2), (2, 3)]
-        for name in ("edgelist", "dimacs", "from_edges"):
+        for name in ("edgelist", "dimacs", "from_edges", "edgelist-repeats"):
             assert self.BUILDERS[name]().edges == want, name
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
@@ -444,7 +462,7 @@ class TestStorage:
         g = build()
         again = pickle.loads(pickle.dumps(g, protocol=pickle.HIGHEST_PROTOCOL))
         assert again == g
-        assert again.nbr.typecode == "q" and again.ends.typecode == "q"
+        assert again.nbr.typecode == "i" and again.ends.typecode == "i"
 
 
 class TestDecimalLabels:
@@ -625,6 +643,16 @@ class TestConnectedComponents:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_rejects_a_count_past_four_byte_ids(self, family, monkeypatch):
+        # Refused before any edge is made, and the limit is named.
+        with pytest.raises(ValueError, match=f"exceeds the limit of {2**31 - 1}"):
+            generate(GeneratorSpec(family, graph_mod.MAX_VERTICES + 1, m=1, k=2))
+        monkeypatch.setattr(graph_mod, "MAX_VERTICES", 5)
+        assert generate(GeneratorSpec(family, 5, m=1, k=2)).n == 5
+        with pytest.raises(ValueError, match="vertex count 6 exceeds the limit of 5"):
+            generate(GeneratorSpec(family, 6, m=1, k=2))
+
     def test_path(self):
         g = generate(GeneratorSpec("path", 5))
         assert (g.n, g.m) == (5, 4)

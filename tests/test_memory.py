@@ -42,9 +42,9 @@ def test_generate_builds_no_label_strings():
     # stream into the edge table (249.7, 634.6 and 489.8 peak through a tuple
     # list and the repeat check; 313.7 and 908.8 with a key set as well).
     for spec, kept_bound, peak_bound in (
-        (GeneratorSpec("path", 2**16), 83, 134),  # 73.4 and 121.4 measured
-        (GeneratorSpec("clique-chain", 1 + 7 * 2**13, k=8), 189, 240),  # 169.6 and 217.6 measured
-        (GeneratorSpec("gnm", 2**15, m=2**16, seed=1), 117, 257),  # 106.2 and 233.6 measured
+        (GeneratorSpec("path", 2**16), 63, 116),  # 57.0 and 104.9 measured (73.4 and 121.4 with 8-byte ids)
+        (GeneratorSpec("clique-chain", 1 + 7 * 2**13, k=8), 116, 169),  # 105.2 and 153.2 (169.6 and 217.6)
+        (GeneratorSpec("gnm", 2**15, m=2**16, seed=1), 81, 221),  # 73.3 and 200.7 (106.2 and 233.6)
     ):
         g, kept, peak = _traced(lambda: generate(spec))
         assert g.n == spec.n
@@ -64,7 +64,7 @@ def test_parse_edge_list_peak_per_edge():
     text = format_edge_list(generate(GeneratorSpec("gnm", 2**15, m=2**16, seed=1)))
     (g, dropped), _, peak = _traced(lambda: parse_edge_list(text))
     assert (g.m, dropped) == (2**16, 0)
-    assert peak / g.m < 130, peak / g.m  # 117.9 measured
+    assert peak / g.m < 121, peak / g.m  # 109.4 measured (117.9 with 8-byte ids)
 
 
 def test_parse_dimacs_peak_per_edge():
@@ -72,7 +72,7 @@ def test_parse_dimacs_peak_per_edge():
     text = f"p edge {clean.n} {clean.m}\n" + "".join(f"e {u + 1} {w + 1}\n" for u, w in clean.edges)
     (g, dropped), _, peak = _traced(lambda: parse_dimacs(text))
     assert (g.m, dropped) == (clean.m, 0)
-    assert peak / g.m < 77, peak / g.m  # 69.6 measured
+    assert peak / g.m < 68, peak / g.m  # 61.2 measured (69.6 with 8-byte ids)
 
 
 def test_parse_star_peak_per_edge():
@@ -81,8 +81,8 @@ def test_parse_star_peak_per_edge():
     leaves = 2**16
     lines = "".join(f"e 1 {i}\n" for i in range(2, leaves + 2))
     for parse, text, bound in (
-        (parse_edge_list, lines.replace("e ", ""), 202),  # 183.3 measured
-        (parse_dimacs, f"p edge {leaves + 1} {leaves}\n" + lines, 134),  # 121.5 measured
+        (parse_edge_list, lines.replace("e ", ""), 184),  # 166.9 measured (183.3 with 8-byte ids)
+        (parse_dimacs, f"p edge {leaves + 1} {leaves}\n" + lines, 116),  # 105.1 measured (121.5)
     ):
         (g, dropped), _, peak = _traced(lambda: parse(text))
         assert (g.m, dropped) == (leaves, 0)
@@ -95,8 +95,8 @@ def test_parse_disjoint_edges_peak_per_edge():
     edges = 2**16
     lines = "".join(f"e {2 * i + 1} {2 * i + 2}\n" for i in range(edges))
     for parse, text, bound in (
-        (parse_edge_list, lines.replace("e ", ""), 368),  # 334.4 measured
-        (parse_dimacs, f"p edge {2 * edges} {edges}\n" + lines, 231),  # 210.1 measured
+        (parse_edge_list, lines.replace("e ", ""), 350),  # 317.9 measured (334.4 with 8-byte ids)
+        (parse_dimacs, f"p edge {2 * edges} {edges}\n" + lines, 213),  # 193.7 measured (210.1)
     ):
         (g, dropped), _, peak = _traced(lambda: parse(text))
         assert (g.n, g.m, dropped) == (2 * edges, edges, 0)
@@ -117,8 +117,9 @@ def test_build_block_forest_peak_per_vertex():
 
 
 def test_dot_frees_the_csr_before_the_text(tmp_path, monkeypatch, capsys):
-    # When the text is built only the labels, the forest (with the edge
-    # table) and the subtree sizes are left: not the CSR (259.3 with it).
+    # When the text is built only the labels, the forest and the subtree
+    # sizes are left: not the CSR nor the edge table (259.3 with the CSR,
+    # 155.3 with the 8-byte edge table held by the forest).
     clean = generate(GeneratorSpec("clique-chain", 1 + 7 * 2340, k=8))
     path = tmp_path / "chain.dimacs"
     path.write_text(f"p edge {clean.n} {clean.m}\n" + "".join(f"e {u + 1} {w + 1}\n" for u, w in clean.edges))
@@ -141,4 +142,4 @@ def test_dot_frees_the_csr_before_the_text(tmp_path, monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     assert capsys.readouterr().out.startswith("graph block_forest {")
-    assert (live[0] - base) / n < 171, (live[0] - base) / n  # 155.0 measured
+    assert (live[0] - base) / n < 97, (live[0] - base) / n  # 87.8 measured
