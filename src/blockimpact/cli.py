@@ -20,7 +20,7 @@ import sys
 from itertools import compress
 from typing import TextIO
 
-from .bench import bench_graph, bench_row, format_rows
+from .bench import format_rows, sweep
 from .dot import export_dot
 from .forest import build_block_forest
 from .graph import (
@@ -283,20 +283,13 @@ def _cmd_bench(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if not sizes:
         print("error: --sizes is empty", file=err)
         return 2
-    if min(sizes) < 1:
-        print(f"error: sizes must be >= 1, got {min(sizes)}", file=err)
+    try:
+        rows = sweep(
+            args.family, sizes, m_per_n=args.m_per_n, k=args.k, seed=args.seed, repeats=args.repeats
+        )
+    except ValueError as exc:  # a size, repeat count or family parameter sweep rejects
+        print(f"error: {exc}", file=err)
         return 2
-    if args.repeats < 1:
-        print("error: repeats must be >= 1", file=err)
-        return 2
-    rows = []
-    for n in sizes:
-        try:
-            g = bench_graph(args.family, n, m_per_n=args.m_per_n, k=args.k, seed=args.seed)
-        except ValueError as exc:  # family parameters the generator rejects
-            print(f"error: {exc}", file=err)
-            return 2
-        rows.append(bench_row(args.family, g, args.repeats))
     out.write(format_rows(rows))
     return 0
 

@@ -43,6 +43,8 @@ class ParseError(ValueError):
 class DecimalLabels(Sequence[str]):
     """The labels ``str(first)``, ..., ``str(first + n - 1)``, each made when
     it is read: an immutable sequence that stores two ints, not n strings.
+    It holds the one check of every integer vertex count: an ``n`` below 0
+    or above :data:`MAX_VERTICES` raises ValueError.
 
     Iteration runs at C speed (``map(str, range(...))``), so code that reads
     every label should iterate, or take ``list(labels)`` once, rather than
@@ -54,7 +56,9 @@ class DecimalLabels(Sequence[str]):
 
     def __init__(self, first: int, n: int):
         if n < 0:
-            raise ValueError("label count must be >= 0")
+            raise ValueError("vertex count must be >= 0")
+        if n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         self._ids = range(first, first + n)
 
     def __len__(self) -> int:
@@ -109,17 +113,13 @@ class Graph:
         """Build a graph from an edge list over 0-based vertex ids.
 
         ``vertices`` is either a vertex count (labels are the decimal ids,
-        as a :class:`DecimalLabels`) or the full list of labels. Raises
-        ValueError on a negative count or one above :data:`MAX_VERTICES`,
-        repeated labels, out-of-range ids or self-loops (found before any
-        repeat, wherever they sit), and on a repeated edge, named by its
-        first repeating pair as given.
+        as a :class:`DecimalLabels`, which checks the count) or the full list
+        of labels. Raises ValueError on a negative count or one above
+        :data:`MAX_VERTICES`, repeated labels, out-of-range ids or self-loops
+        (found before any repeat, wherever they sit), and on a repeated edge,
+        named by its first repeating pair as given.
         """
         if isinstance(vertices, int):
-            if vertices < 0:
-                raise ValueError("vertex count must be >= 0")
-            if vertices > MAX_VERTICES:
-                raise ValueError(f"vertex count {vertices} exceeds the limit of {MAX_VERTICES}")
             labels: Sequence[str] = DecimalLabels(0, vertices)
         else:
             labels = list(vertices)
@@ -156,7 +156,7 @@ class ParseResult(NamedTuple):
 
 
 # Largest vertex count of any graph, as ids are stored in 4-byte "i" slots;
-# the builders that take a count check it before they allocate.
+# DecimalLabels checks every integer count against it before any allocation.
 MAX_VERTICES = 2**31 - 1
 
 # Largest vertex count a DIMACS ``p`` line may declare: the CSR build
@@ -396,14 +396,12 @@ def generate(spec: GeneratorSpec) -> Graph:
     pairs into the CSR build with no range, loop or repeat check: all are in
     range and loop-free, and none repeats (gnm's picks are distinct indices
     of the pair list), so the graph is what ``Graph.from_edges`` would build.
+    The labels come right after the family check: a bad count makes no edge.
     """
     family, n = spec.family, spec.n
     if family not in GENERATOR_FAMILIES:
         raise ValueError(f"unknown family {family!r} (choose from {', '.join(GENERATOR_FAMILIES)})")
-    if n < 0:
-        raise ValueError("vertex count must be >= 0")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    labels = DecimalLabels(0, n)
 
     if family == "gnm":
         if spec.m is None:
@@ -430,4 +428,4 @@ def generate(spec: GeneratorSpec) -> Graph:
         if n > 0 and (n - 1) % (k - 1) != 0:
             raise ValueError(f"clique-chain needs (n-1) divisible by (k-1), got n={n}, k={k}")
         pairs = chain.from_iterable(combinations(range(b, b + k), 2) for b in range(0, n - 1, k - 1))
-    return _from_clean_edges(DecimalLabels(0, n), array("i", chain.from_iterable(pairs)))
+    return _from_clean_edges(labels, array("i", chain.from_iterable(pairs)))

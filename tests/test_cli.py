@@ -468,6 +468,30 @@ class TestBench:
         assert out == ""
         assert err == "error: vertex count 2147483648 exceeds the limit of 2147483647\n"
 
+    def test_gnm_size_past_float_range_is_one_line(self, capsys):
+        big = "1" + "0" * 400
+        code, out, err = run_cli(capsys, "bench", "--family", "gnm", "--sizes", big)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: vertex count {big} exceeds the limit of 2147483647\n"
+
+    @pytest.mark.parametrize("m_per_n", ["10", "1e308"])
+    def test_gnm_density_caps_at_the_complete_graph(self, capsys, m_per_n):
+        # 1e308 * 4 overflows to inf; the cap comes before the rounding.
+        code, out, err = run_cli(
+            capsys, "bench", "--family", "gnm", "--sizes", "4", "--m-per-n", m_per_n
+        )
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 2 and lines[1].split("\t")[:3] == ["gnm", "4", "6"]
+        assert sweep("gnm", [4], m_per_n=float(m_per_n))[0].m == 6
+
+    def test_sizes_are_checked_before_repeats(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--sizes", "0", "--repeats", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: sizes must be >= 1, got 0\n"
+
     def test_bad_sizes_string(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--sizes", "12,oops")
         assert code == 2

@@ -653,6 +653,11 @@ class TestGenerate:
         with pytest.raises(ValueError, match="vertex count 6 exceeds the limit of 5"):
             generate(GeneratorSpec(family, 6, m=1, k=2))
 
+    @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
+    def test_rejects_a_negative_count(self, family):
+        with pytest.raises(ValueError, match="vertex count must be >= 0"):
+            generate(GeneratorSpec(family, -1, m=0, k=2))
+
     def test_path(self):
         g = generate(GeneratorSpec("path", 5))
         assert (g.n, g.m) == (5, 4)
