@@ -4,9 +4,10 @@ Subcommands: ``analyze`` prints the impact report, ``check`` cross-checks the
 fast path against the removal oracle, ``dot`` emits the block forest as
 Graphviz text, ``bench`` runs the scaling harness. Exit codes: 0 success
 (also when the reader closes stdout early, as ``| head`` does), 1 check
-mismatch, 2 usage or input errors (among them an input too large for
-``check``'s oracle), 3 out of memory. Any other exception is a program fault
-and is not reported as bad input.
+mismatch, 2 usage or input errors (among them a standard input or output
+closed at start, and an input too large for ``check``'s oracle), 3 out of
+memory. Any other exception is a program fault and is not reported as bad
+input.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def _load_graph(args: argparse.Namespace, err: TextIO) -> Graph:
     parse = parse_dimacs if args.format == "dimacs" else parse_edge_list
     try:
         if args.input == "-":
+            if sys.stdin is None:  # started with descriptor 0 closed
+                raise OSError("standard input is closed")
             stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
             try:
                 graph, dropped = parse(stdin)
@@ -306,6 +309,9 @@ def run(argv: list[str] | None = None) -> int:
         "dot": _cmd_dot,
         "bench": _cmd_bench,
     }
+    if sys.stdout is None:  # started with descriptor 1 closed
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     try:
         return handlers[args.command](args, sys.stdout, sys.stderr)
     except BrokenPipeError:

@@ -24,13 +24,17 @@ LINES_PER_JOIN = 4096
 
 def _lines(labels: Sequence[str], bf: BlockForest, sizes: list[int]) -> Iterator[str]:
     """The DOT text, one newline-terminated line at a time."""
-    degs = bf.square_degrees()
+    n = bf.n_squares
+    cut = bytearray(n)  # a square is a cut vertex when a round hangs below it
+    for p in bf.parent[n:]:
+        if p >= 0:
+            cut[p] = 1
     yield "graph block_forest {\n"
     for v, label in enumerate(labels):
-        style = ", style=bold" if degs[v] >= 2 else ""
+        style = ", style=bold" if cut[v] else ""
         yield f"  s{v} [shape=box{style}, label={_quote(label)}];\n"
     for r in range(bf.num_rounds):
-        yield f'  r{r} [shape=ellipse, label="{sizes[bf.n_squares + r]}"];\n'
+        yield f'  r{r} [shape=ellipse, label="{sizes[n + r]}"];\n'
     for r in range(bf.num_rounds):
         for v in bf.round_members(r):
             yield f"  s{v} -- r{r};\n"

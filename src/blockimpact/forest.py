@@ -12,25 +12,27 @@ Node ids: squares reuse the graph's vertex ids 0..n-1; round node r gets the
 absolute id n + r. ``parent`` orients every tree: each non-singleton tree is
 rooted at a round node (the last block closed in its component, which always
 contains the component's DFS start vertex); an isolated vertex forms a
-single-square tree rooted at itself.
+single-square tree rooted at itself. Cut vertices are read off ``parent``;
+no square -> rounds index is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 
 from .graph import Graph
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class BlockForest:
-    """Built block forest; treat as immutable.
+    """Built block forest: the tree shape and each round's members.
 
     ``member_flat[member_indptr[r]:member_indptr[r+1]]`` lists round r's
     member squares in attachment order. ``parent`` covers all nodes (squares
-    then rounds), -1 at roots. It holds no part of the graph:
-    :func:`edge_rounds` reads the edge table from the graph it is given.
+    then rounds), -1 at roots. Trees with an edge are rooted at rounds, so a
+    square lies in two or more blocks (is a cut vertex) exactly when it is
+    some round's parent. No square -> rounds index or part of the graph is
+    kept: :func:`edge_rounds` reads the edge table from the graph it is given.
     """
 
     n_squares: int
@@ -38,8 +40,6 @@ class BlockForest:
     member_indptr: list[int]
     parent: list[int]
     roots: list[int]
-    _square_indptr: list[int] | None = None
-    _square_rounds: list[int] | None = None
 
     @property
     def num_rounds(self) -> int:
@@ -51,28 +51,6 @@ class BlockForest:
 
     def round_members(self, r: int) -> list[int]:
         return self.member_flat[self.member_indptr[r]:self.member_indptr[r + 1]]
-
-    def square_rounds(self, v: int) -> list[int]:
-        """Absolute ids of the round nodes whose block contains vertex v."""
-        if self._square_indptr is None:  # built on first use; later re-rootings share it
-            n = self.n_squares
-            indptr = [0, *accumulate(self.square_degrees())]
-            out = [0] * indptr[n]
-            cursor = indptr[:n]
-            for r in range(self.num_rounds):
-                for u in self.round_members(r):
-                    out[cursor[u]] = n + r
-                    cursor[u] += 1
-            self._square_indptr = indptr
-            self._square_rounds = out
-        return self._square_rounds[self._square_indptr[v]:self._square_indptr[v + 1]]
-
-    def square_degrees(self) -> list[int]:
-        """Number of blocks containing each vertex (= BF degree of the square)."""
-        counts = [0] * self.n_squares
-        for v in self.member_flat:
-            counts[v] += 1
-        return counts
 
 
 def build_block_forest(g: Graph) -> BlockForest:
@@ -194,8 +172,8 @@ def build_block_forest(g: Graph) -> BlockForest:
 
 
 def articulation_points(bf: BlockForest) -> set[int]:
-    """Vertices lying in two or more blocks: exactly the non-leaf squares."""
-    return {v for v, c in enumerate(bf.square_degrees()) if c >= 2}
+    """Vertices lying in two or more blocks: the squares a round hangs below."""
+    return {p for p in bf.parent[bf.n_squares:] if p >= 0}
 
 
 def biconnected_components(bf: BlockForest) -> list[set[int]]:
@@ -232,8 +210,8 @@ def bridges(g: Graph, bf: BlockForest) -> set[int]:
 def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
     """Copy of ``bf`` with ``round_node``'s tree re-rooted there.
 
-    Only the orientation (parent pointers, roots) changes; adjacency and
-    members are shared. The copied parent pointers are reversed along the
+    Only the orientation (parent pointers, roots) changes; the member lists
+    are shared. The copied parent pointers are reversed along the
     path from ``round_node`` up to the old root, a walk of O(depth) that
     reads no adjacency, and the old root, the last node on that path, is
     replaced in ``roots``. Raises ValueError unless ``round_node`` is the id
@@ -246,12 +224,4 @@ def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
     while node != -1:
         parent[node], prev, node = prev, node, parent[node]
     roots = [round_node if r == prev else r for r in bf.roots]
-    return BlockForest(
-        n_squares=bf.n_squares,
-        member_flat=bf.member_flat,
-        member_indptr=bf.member_indptr,
-        parent=parent,
-        roots=roots,
-        _square_indptr=bf._square_indptr,
-        _square_rounds=bf._square_rounds,
-    )
+    return replace(bf, parent=parent, roots=roots)

@@ -1,8 +1,8 @@
-"""Shared fixtures: named small graphs, corpora, the structural validator,
-the paper's block-forest method as a second linear-time oracle, a recursive
-reference of the block forest's member order, DFS shapes that scale, with
-the check that both DFSs agree on them, and the tuple edge lists that
-``generate`` is checked against."""
+"""Shared fixtures: named small graphs, corpora, the square -> rounds lists
+of a block forest, the structural validator, the paper's block-forest method
+as a second linear-time oracle, a recursive reference of the block forest's
+member order, DFS shapes that scale, with the check that both DFSs agree on
+them, and the tuple edge lists that ``generate`` is checked against."""
 
 from __future__ import annotations
 
@@ -65,11 +65,25 @@ def forest_impacts(g: Graph) -> tuple[list[int], CcLabeling]:
     return impact.impact_vector(bf, impact.compute_sq_sizes(bf), cc), cc
 
 
-def forest_neighbors(bf: BlockForest, node: int) -> list[int]:
-    """The forest nodes adjacent to ``node``: a square's rounds, or a
-    round's member squares."""
+def square_rounds(bf: BlockForest) -> list[list[int]]:
+    """Per square, the absolute ids of the round nodes whose block contains
+    it, in round order. Read off the member lists alone, never ``parent``,
+    so checks built on it test the orientation against the membership.
+    Build it once per forest: each call walks every member list."""
+    n = bf.n_squares
+    rounds: list[list[int]] = [[] for _ in range(n)]
+    for r in range(bf.num_rounds):
+        for v in bf.round_members(r):
+            rounds[v].append(n + r)
+    return rounds
+
+
+def forest_neighbors(bf: BlockForest, rounds: list[list[int]], node: int) -> list[int]:
+    """The forest nodes adjacent to ``node``: a square's rounds, from
+    ``rounds`` (:func:`square_rounds` of ``bf``), or a round's member
+    squares."""
     if node < bf.n_squares:
-        return bf.square_rounds(node)
+        return rounds[node]
     return bf.round_members(node - bf.n_squares)
 
 
@@ -221,10 +235,10 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         assert len(mem) >= 2
         assert len(set(mem)) == len(mem)
         assert all(0 <= v < n for v in mem)
+    rounds = square_rounds(bf)
     for v in range(n):
-        rounds = bf.square_rounds(v)
-        assert len(set(rounds)) == len(rounds)
-        assert all(node >= n for node in rounds)
+        assert len(set(rounds[v])) == len(rounds[v])
+        assert all(node >= n for node in rounds[v])
 
     # Forest shape: edge count, acyclicity, and parent orientation agree.
     assert len(bf.member_flat) == (n + nrounds) - len(bf.roots)
@@ -236,7 +250,7 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         stack = [root]
         while stack:
             x = stack.pop()
-            for y in forest_neighbors(bf, x):
+            for y in forest_neighbors(bf, rounds, x):
                 if y != bf.parent[x]:
                     assert not seen[y], "cycle or duplicate edge in the forest"
                     assert bf.parent[y] == x
@@ -253,8 +267,7 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
 
     # Articulation points: non-leaf squares, and the removal oracle agrees.
     aps = articulation_points(bf)
-    degs = bf.square_degrees()
-    assert aps == {v for v in range(n) if degs[v] >= 2}
+    assert aps == {v for v in range(n) if len(rounds[v]) >= 2}
     assert aps == naive_articulation_points(g)
     if n >= 2:
         assert len(aps) <= n - 2
@@ -268,7 +281,7 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
         mem = set(bf.round_members(node - n))
         assert u in mem and w in mem
         containing = [
-            rnode for rnode in bf.square_rounds(u)
+            rnode for rnode in rounds[u]
             if w in bf.round_members(rnode - n)
         ]
         assert containing == [node]

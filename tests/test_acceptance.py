@@ -34,7 +34,13 @@ from blockimpact.cli import run as run_cli
 from blockimpact.forest import edge_rounds
 
 import _acceptance_log
-from _helpers import all_graphs_up_to, check_block_forest, graph_from, seeded_gnm_graphs
+from _helpers import (
+    all_graphs_up_to,
+    check_block_forest,
+    graph_from,
+    seeded_gnm_graphs,
+    square_rounds,
+)
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -119,13 +125,14 @@ def test_criterion_2_randomized_oracle_equivalence():
         assert articulation_points(bf) == naive_articulation_points(g), f"graph {i}"
         # every edge lies in exactly one block, endpoints included
         edge_round = edge_rounds(g, bf)
+        rounds = square_rounds(bf)
         assert len(edge_round) == g.m, f"graph {i}"
         for e, (u, w) in enumerate(g.edges):
             node = edge_round[e]
             members = set(bf.round_members(node - g.n))
             assert u in members and w in members, f"graph {i} edge {e}"
             containing = [
-                rn for rn in bf.square_rounds(u) if w in bf.round_members(rn - g.n)
+                rn for rn in rounds[u] if w in bf.round_members(rn - g.n)
             ]
             assert containing == [node], f"graph {i} edge {e}"
     elapsed = time.perf_counter() - t0

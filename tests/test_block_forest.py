@@ -32,6 +32,7 @@ from _helpers import (
     recursion_limit,
     reference_forest_fields,
     seeded_gnm_graphs,
+    square_rounds,
     vertex,
 )
 
@@ -46,7 +47,7 @@ class TestBuildExamples:
         bf = build_block_forest(g)
         assert members_by_label(g, bf) == [["a", "b", "c"]]
         assert bf.roots == [g.n + 0]
-        assert bf.square_degrees() == [1] * g.n  # all squares are leaves
+        assert [len(r) for r in square_rounds(bf)] == [1] * g.n  # all squares are leaves
 
     def test_single_edge(self):
         g = graph_from("u w")
@@ -59,7 +60,7 @@ class TestBuildExamples:
         bf = build_block_forest(g)
         assert sorted(members_by_label(g, bf)) == [["a", "b", "c"], ["c", "d", "e"]]
         c = vertex(g, "c")
-        assert bf.square_degrees() == [2 if v == c else 1 for v in range(g.n)]
+        assert [len(r) for r in square_rounds(bf)] == [2 if v == c else 1 for v in range(g.n)]
 
     def test_isolated_vertex_is_singleton_square_tree(self):
         g = graph_from("v alone\na b")
@@ -85,7 +86,7 @@ class TestDfsVisit:
         g = graph_from("a b\nb c")
         bf = build_block_forest(g)
         assert sorted(members_by_label(g, bf)) == [["a", "b"], ["b", "c"]]
-        assert bf.square_degrees()[vertex(g, "b")] == 2
+        assert len(square_rounds(bf)[vertex(g, "b")]) == 2
 
     @pytest.mark.parametrize("start", range(4))
     def test_k4_single_block_from_any_start(self, start):
@@ -227,14 +228,15 @@ class TestInvariants:
         assert articulation_points(bf) == naive_articulation_points(g)
 
 
-def reoriented_by_bfs(bf, new_root):
+def reoriented_by_bfs(bf, rounds, new_root):
     """Reference re-rooting: parent pointers and roots from a BFS over the
-    forest's adjacency, starting at ``new_root``."""
+    forest's adjacency (``rounds``, :func:`square_rounds` of ``bf``, and the
+    member lists), starting at ``new_root``."""
     parent = list(bf.parent)
     parent[new_root] = -1
     queue = [new_root]
     for x in queue:  # grows while it is read
-        for y in forest_neighbors(bf, x):
+        for y in forest_neighbors(bf, rounds, x):
             if y != parent[x]:
                 parent[y] = x
                 queue.append(y)
@@ -243,10 +245,10 @@ def reoriented_by_bfs(bf, new_root):
     return parent, roots
 
 
-def assert_reroot_matches_bfs(bf, new_root):
+def assert_reroot_matches_bfs(bf, rounds, new_root):
     before = list(bf.parent), list(bf.roots)
     bf2 = rerooted_at(bf, new_root)
-    assert (bf2.parent, bf2.roots) == reoriented_by_bfs(bf, new_root)
+    assert (bf2.parent, bf2.roots) == reoriented_by_bfs(bf, rounds, new_root)
     assert (bf.parent, bf.roots) == before
 
 
@@ -281,6 +283,7 @@ class TestRerooting:
         for g in seeded_gnm_graphs(40, 20, rng):
             bf = build_block_forest(g)
             forests = [bf] + [rerooted_at(bf, g.n + r) for r in range(bf.num_rounds)]
+            rounds = square_rounds(bf)  # every rooting shares the member lists
             first = edge_rounds(g, bf)
             for rooted in forests:
                 edge_round = edge_rounds(g, rooted)
@@ -288,7 +291,7 @@ class TestRerooting:
                 for e, (u, w) in enumerate(g.edges):
                     node = edge_round[e]
                     both = [
-                        rn for rn in rooted.square_rounds(u)
+                        rn for rn in rounds[u]
                         if w in rooted.round_members(rn - g.n)
                     ]
                     assert both == [node]
@@ -299,8 +302,9 @@ class TestRerooting:
         rng = random.Random(7207)
         for g in seeded_gnm_graphs(80, 40, rng):
             bf = build_block_forest(g)
+            rounds = square_rounds(bf)
             for r in range(bf.num_rounds):
-                assert_reroot_matches_bfs(bf, g.n + r)
+                assert_reroot_matches_bfs(bf, rounds, g.n + r)
 
     @pytest.mark.parametrize(
         "spec",
@@ -316,21 +320,23 @@ class TestRerooting:
     def test_matches_bfs_reorientation_on_every_family(self, spec):
         g = generate(spec)
         bf = build_block_forest(g)
+        rounds = square_rounds(bf)
         for r in range(bf.num_rounds):
-            assert_reroot_matches_bfs(bf, g.n + r)
+            assert_reroot_matches_bfs(bf, rounds, g.n + r)
 
     def test_far_end_of_a_long_path(self):
         n = 1 << 16
         g = generate(GeneratorSpec("path", n))
         bf = build_block_forest(g)
-        far = bf.square_rounds(n - 1)[0]
+        rounds = square_rounds(bf)
+        far = rounds[n - 1][0]
         # The round holding the last vertex is the deepest one: its walk up
         # to the old root passes every round and every inner square.
         depth, node = 0, far
         while bf.parent[node] != -1:
             depth, node = depth + 1, bf.parent[node]
         assert depth == 2 * (n - 2)
-        assert_reroot_matches_bfs(bf, far)
+        assert_reroot_matches_bfs(bf, rounds, far)
 
     def test_reroot_at_current_root_is_identity(self):
         g = bowtie()

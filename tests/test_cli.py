@@ -13,20 +13,25 @@ from types import SimpleNamespace
 import pytest
 
 from blockimpact import (
+    GeneratorSpec,
     build_block_forest,
     compute_all_impacts,
     compute_sq_sizes,
     export_dot,
+    generate,
+    naive_articulation_points,
     parse_edge_list,
+    rerooted_at,
     sweep,
 )
 from blockimpact.cli import run
 
-from _helpers import PATH6_TEXT, bowtie
+from _helpers import DFS_SHAPES, PATH6_TEXT, bowtie, seeded_gnm_graphs, square_rounds
 
 SRC = Path(__file__).parent.parent / "src"
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+PATH6 = str(DATA / "path6.edges")
 
 
 def run_cli(capsys, *args):
@@ -398,9 +403,10 @@ class TestDot:
         for g in [parse_edge_list(t).graph for t in texts] + [bowtie()]:
             bf = build_block_forest(g)
             sizes = compute_sq_sizes(bf)
+            rounds = square_rounds(bf)
             want = ["graph block_forest {"]
             for v in range(g.n):
-                bold = ", style=bold" if len(bf.square_rounds(v)) >= 2 else ""
+                bold = ", style=bold" if len(rounds[v]) >= 2 else ""
                 label = g.labels[v].replace("\\", "\\\\").replace('"', '\\"')
                 want.append(f'  s{v} [shape=box{bold}, label="{label}"];')
             for r in range(bf.num_rounds):
@@ -409,6 +415,22 @@ class TestDot:
                 want += [f"  s{v} -- r{r};" for v in bf.round_members(r)]
             want.append("}")
             assert export_dot(g.labels, bf, sizes) == "".join(ln + "\n" for ln in want), g.labels
+
+    def test_bold_squares_are_the_articulation_points(self):
+        # Under the built rooting and every re-rooting at a round; the sparse
+        # gnm graphs (m = n - 1) are the ones with many cut vertices.
+        rng = random.Random(4242)
+        graphs = seeded_gnm_graphs(40, 40, rng)
+        graphs += [generate(GeneratorSpec("gnm", n, m=n - 1, seed=rng.randrange(2**63)))
+                   for n in range(2, 100, 3)]
+        graphs += [shape(size) for shape in DFS_SHAPES.values() for size in (3, 8, 13, 40)]
+        bold = re.compile(r"^  s(\d+) \[shape=box, style=bold,", re.M)
+        for g in graphs:
+            bf = build_block_forest(g)
+            want = naive_articulation_points(g)
+            for rooted in [bf] + [rerooted_at(bf, g.n + r) for r in range(bf.num_rounds)]:
+                text = export_dot(g.labels, rooted, compute_sq_sizes(rooted))
+                assert {int(v) for v in bold.findall(text)} == want, g.edges
 
     def test_label_escaping(self, capsys, tmp_path):
         path = tmp_path / "weird.edges"
@@ -593,6 +615,43 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 0
         assert err == b""
+
+    @staticmethod
+    def run_with_closed(fd, *args):
+        """Run the CLI as a program started with descriptor ``fd`` closed."""
+        return subprocess.run(
+            [sys.executable, "-m", "blockimpact.cli", *args],
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            preexec_fn=lambda: os.close(fd),  # runs in the child only, before it execs
+            timeout=60,
+        )
+
+    @pytest.mark.parametrize("command", ["analyze", "check", "dot"])
+    def test_closed_stdin_is_one_line_and_exit_2(self, command):
+        proc = self.run_with_closed(0, command)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: standard input is closed\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["analyze", PATH6], ["check", PATH6], ["dot", PATH6], ["check", "--sweep", "2"],
+         ["bench", "--sizes", "4"]],
+        ids=["analyze", "check", "dot", "check-sweep", "bench"],
+    )
+    def test_closed_stdout_is_one_line_and_exit_2(self, args):
+        proc = self.run_with_closed(1, *args)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: standard output is closed\n"
+
+    @pytest.mark.parametrize(
+        "args, head", [(["analyze", PATH6], b"label\t"), (["check", "--sweep", "2"], b"OK (2 graphs)")]
+    )
+    def test_closed_stdin_is_fine_when_not_read(self, args, head):
+        proc = self.run_with_closed(0, *args)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout.startswith(head)
 
     @pytest.mark.parametrize("kind", ["dimacs-declared", "edgelist"])
     def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, kind):

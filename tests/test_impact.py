@@ -34,6 +34,7 @@ from _helpers import (
     long_cycle,
     path6,
     seeded_gnm_graphs,
+    square_rounds,
     star_of_cliques,
     vertex,
 )
@@ -175,12 +176,11 @@ class TestDecompositionIdentity:
         bf = build_block_forest(g)
         sq = compute_sq_sizes(bf)
         cc = connected_components(g)
+        rounds = square_rounds(bf)
         for v in range(g.n):
             comp = cc.component_size[cc.component_id[v]]
             pieces = [comp - sq[v]]
-            pieces += [
-                sq[node] for node in bf.square_rounds(v) if bf.parent[node] == v
-            ]
+            pieces += [sq[node] for node in rounds[v] if bf.parent[node] == v]
             pieces = [p for p in pieces if p > 0]
             assert sum(pieces) == comp - 1
             assert Counter(pieces) == Counter(surviving_component_sizes(g, v))

@@ -4,8 +4,8 @@
 named here, so a concept cannot drift into a second module unnoticed.
 ``cli`` and ``__init__`` are the entry points and may import any module.
 Every function the package defines is exported, or used by the package, the
-benchmark or the acceptance tests, and every name a module imports is read
-in that module.
+benchmark or the acceptance tests, every name a module imports is read in
+that module, and every dataclass is frozen.
 """
 
 import ast
@@ -65,6 +65,25 @@ def test_component_labeling_type_lives_in_impact():
         if isinstance(node, ast.ClassDef) and node.name == "CcLabeling"
     ]
     assert homes == ["impact"]
+
+
+def test_every_dataclass_is_frozen():
+    """Built values are shared between layers (a re-rooted forest shares its
+    member lists with the forest it came from), so the type must refuse to
+    change them in place: every ``@dataclass`` passes ``frozen=True``."""
+    frozen = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(_tree(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for dec in cls.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                if ast.unparse(call.func if call else dec).split(".")[-1] != "dataclass":
+                    continue
+                keywords = {k.arg: ast.unparse(k.value) for k in (call.keywords if call else [])}
+                frozen[f"{path.stem}.{cls.name}"] = keywords.get("frozen") == "True"
+    assert "forest.BlockForest" in frozen
+    assert [name for name, is_frozen in frozen.items() if not is_frozen] == []
 
 
 def test_every_builder_reaches_the_csr_through_the_repeat_check():
