@@ -2,12 +2,14 @@
 
 Subcommands: ``analyze`` prints the impact report, ``check`` cross-checks the
 fast path against the removal oracle, ``dot`` emits the block forest as
-Graphviz text, ``bench`` runs the scaling harness. Exit codes: 0 success
-(also when the reader closes stdout early, as ``| head`` does), 1 check
-mismatch, 2 usage or input errors (among them a standard input or output
-closed at start, and an input too large for ``check``'s oracle), 3 out of
-memory. Any other exception is a program fault and is not reported as bad
-input.
+Graphviz text, ``bench`` runs the scaling harness. Output is UTF-8 whatever
+the locale. The handlers raise; :func:`run` alone turns a failure into one
+``error:`` line on stderr and an exit code: 0 success (also when the reader
+closes stdout early, as ``| head`` does), 1 check mismatch, 2 usage or input
+errors (among them a standard input or output closed at start, and an input
+too large for ``check``'s oracle), 3 out of memory. The codes hold with
+descriptor 2 closed or read-only, and no diagnostic reaches stdout. Any other
+exception is a program fault and is not reported as bad input.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import os
 import random
 import sys
+from contextlib import suppress
 from itertools import compress
 from typing import TextIO
 
@@ -124,16 +127,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_graph(args: argparse.Namespace, err: TextIO) -> Graph:
-    """Parse the input straight off the open file (or stdin), line by line.
+class UsageError(Exception):
+    """Bad usage or input, found by a handler: ``run`` exits 2."""
 
-    Input is UTF-8; a leading byte order mark is skipped.
-    """
+
+def _diagnose(line: str) -> None:
+    """The CLI's one writer on stderr; a descriptor 2 open read-only loses the line."""
+    with suppress(OSError):
+        print(line, file=sys.stderr)
+
+
+def _load_graph(args: argparse.Namespace) -> Graph:
+    """Parse the input (UTF-8, a leading byte order mark skipped) straight off
+    the open file or stdin, line by line."""
     parse = parse_dimacs if args.format == "dimacs" else parse_edge_list
     try:
         if args.input == "-":
             if sys.stdin is None:  # started with descriptor 0 closed
-                raise OSError("standard input is closed")
+                raise UsageError("standard input is closed")
             stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
             try:
                 graph, dropped = parse(stdin)
@@ -146,7 +157,7 @@ def _load_graph(args: argparse.Namespace, err: TextIO) -> Graph:
         name = "standard input" if args.input == "-" else args.input
         raise ParseError(f"{name}: not UTF-8 text") from None
     if dropped and not args.quiet:
-        print(f"note: dropped {dropped} self-loop/duplicate line(s)", file=err)
+        _diagnose(f"note: dropped {dropped} self-loop/duplicate line(s)")
     return graph
 
 
@@ -172,8 +183,8 @@ def _report_order(report: ImpactReport, labels: list[str], all_vertices: bool) -
     return order
 
 
-def _cmd_analyze(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    report = compute_all_impacts(_load_graph(args, err))
+def _cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
+    report = compute_all_impacts(_load_graph(args))
     labels = list(report.labels)  # made once if made on read; read per row
     order = _report_order(report, labels, args.all_vertices)
     impact = report.impact
@@ -221,30 +232,24 @@ def _first_mismatch(fast: ImpactReport, naive: ImpactReport) -> str | None:
     return None
 
 
-def _refused_by_oracle_limit(n: int, m: int, err: TextIO) -> bool:
-    """Whether the removal oracle on n vertices and m edges is over
-    CHECK_MAX_UNITS; if so, one line on ``err`` says so."""
+def _check_oracle_limit(n: int, m: int) -> None:
+    """Refuse the removal oracle on n vertices and m edges above CHECK_MAX_UNITS."""
     units = n * (n + m)
-    if units <= CHECK_MAX_UNITS:
-        return False
-    hours = units * ORACLE_NS_PER_UNIT / 3.6e12
-    print(
-        f"error: check runs the O(n(n+m)) removal oracle: n={n}, m={m} would take"
-        f" about {hours:.1f} h at ~{ORACLE_NS_PER_UNIT} ns per n(n+m) unit"
-        f" (limit {CHECK_MAX_UNITS:.1e} units)",
-        file=err,
-    )
-    return True
+    if units > CHECK_MAX_UNITS:
+        hours = units * ORACLE_NS_PER_UNIT / 3.6e12
+        raise UsageError(
+            f"check runs the O(n(n+m)) removal oracle: n={n}, m={m} would take"
+            f" about {hours:.1f} h at ~{ORACLE_NS_PER_UNIT} ns per n(n+m) unit"
+            f" (limit {CHECK_MAX_UNITS:.1e} units)"
+        )
 
 
-def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _cmd_check(args: argparse.Namespace, out: TextIO) -> int:
     if args.sweep is not None:
         if args.sweep < 1 or args.n_max < 1:
-            print("error: --sweep and --n-max must be positive", file=err)
-            return 2
+            raise UsageError("--sweep and --n-max must be positive")
         # The largest graph a sweep may draw is complete.
-        if _refused_by_oracle_limit(args.n_max, args.n_max * (args.n_max - 1) // 2, err):
-            return 2
+        _check_oracle_limit(args.n_max, args.n_max * (args.n_max - 1) // 2)
         rng = random.Random(args.seed)
         for i in range(args.sweep):
             n = rng.randint(1, args.n_max)
@@ -256,9 +261,8 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
                 return 1
         print(f"OK ({args.sweep} graphs)", file=out)
         return 0
-    g = _load_graph(args, err)
-    if _refused_by_oracle_limit(g.n, g.m, err):
-        return 2
+    g = _load_graph(args)
+    _check_oracle_limit(g.n, g.m)
     mismatch = _first_mismatch(compute_all_impacts(g), naive_all_impacts(g))
     if mismatch:
         print(f"mismatch: {mismatch}", file=out)
@@ -267,8 +271,8 @@ def _cmd_check(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_dot(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    g = _load_graph(args, err)
+def _cmd_dot(args: argparse.Namespace, out: TextIO) -> int:
+    g = _load_graph(args)
     bf, labels = build_block_forest(g), g.labels
     del g  # frees the CSR and the edge table before the text
     text = export_dot(labels, bf, compute_sq_sizes(bf))
@@ -277,43 +281,33 @@ def _cmd_dot(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+def _cmd_bench(args: argparse.Namespace, out: TextIO) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     except ValueError:
-        print(f"error: bad --sizes value {args.sizes!r}", file=err)
-        return 2
+        raise UsageError(f"bad --sizes value {args.sizes!r}") from None
     if not sizes:
-        print("error: --sizes is empty", file=err)
-        return 2
+        raise UsageError("--sizes is empty")
     try:
         rows = sweep(
             args.family, sizes, m_per_n=args.m_per_n, k=args.k, seed=args.seed, repeats=args.repeats
         )
     except ValueError as exc:  # a size, repeat count or family parameter sweep rejects
-        print(f"error: {exc}", file=err)
-        return 2
+        raise UsageError(exc) from None
     out.write(format_rows(rows))
     return 0
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    handlers = {
-        "analyze": _cmd_analyze,
-        "check": _cmd_check,
-        "dot": _cmd_dot,
-        "bench": _cmd_bench,
-    }
-    if sys.stdout is None:  # started with descriptor 1 closed
-        print("error: standard output is closed", file=sys.stderr)
-        return 2
+    handlers = {"analyze": _cmd_analyze, "check": _cmd_check, "dot": _cmd_dot, "bench": _cmd_bench}
     try:
-        return handlers[args.command](args, sys.stdout, sys.stderr)
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise UsageError("standard output is closed")
+        return handlers[args.command](args, sys.stdout)
     except BrokenPipeError:
         # The reader went away (``| head``): stop quietly. Point stdout's
         # descriptor at devnull so the flush at interpreter exit cannot fail.
@@ -321,19 +315,25 @@ def run(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ParseError, OSError) as exc:
+        _diagnose(f"error: {exc}")
         return 2
     except MemoryError:
         pass
     # Out of memory. The message is written only once the handler is left:
     # the traceback, and through its frames whatever the failed command had
     # built, is released there.
-    print("error: out of memory", file=sys.stderr)
+    _diagnose("error: out of memory")
     return 3
 
 
 def main() -> None:
+    # The process's own streams, set up once. With descriptor 2 closed at start,
+    # print and argparse would fall back to stdout: point stderr at devnull.
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(run())
 
 

@@ -161,6 +161,25 @@ class TestInputEncoding:
         assert err.startswith("error: line 1: declared vertex count 101 exceeds the limit of 100")
 
 
+class TestOutputEncoding:
+    @pytest.mark.parametrize("command", ["analyze", "dot"])
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path, command):
+        path = tmp_path / "cjk.edges"
+        path.write_text("日 本\n本 x\n", encoding="utf-8")
+        outputs = []
+        for encoding in ("utf-8", "latin-1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "blockimpact.cli", command, str(path)],
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding},
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert "本".encode("utf-8") in outputs[1]
+
+
 class TestReportOrder:
     @staticmethod
     def tied_graph_file(tmp_path) -> Path:
@@ -652,6 +671,33 @@ class TestExitCodes:
         proc = self.run_with_closed(0, *args)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout.startswith(head)
+
+    @pytest.mark.parametrize("fd2", ["closed", "read-only"])
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["analyze", "/nonexistent"], 2), (["analyze", "LOOP"], 0), (["dot", "LOOP"], 0),
+         (["check", "--sweep", "0"], 2), (["bench", "--sizes", "0"], 2), (["analyze", "--bogus"], 2)],
+        ids=["missing-file", "analyze-note", "dot-note", "check-sweep-0", "bench-sizes-0", "bad-flag"],
+    )
+    def test_unwritable_stderr_keeps_exit_code_and_stdout(self, tmp_path, fd2, args, code):
+        """With descriptor 2 closed at start or open read-only, every run
+        exits as it does with stderr open and writes the same stdout bytes:
+        none of its ``note:``, ``error:`` or usage lines land there."""
+        loop = tmp_path / "loop.edges"
+        loop.write_text("a a\na b\nb c\n")  # one self-loop: a ``note:`` line
+        argv = [sys.executable, "-m", "blockimpact.cli",
+                *(str(loop) if arg == "LOOP" else arg for arg in args)]
+        common = {"stdin": subprocess.DEVNULL, "stdout": subprocess.PIPE, "timeout": 60,
+                  "env": {**os.environ, "PYTHONPATH": str(SRC)}}
+        reference = subprocess.run(argv, stderr=subprocess.PIPE, **common)
+        assert reference.returncode == code
+        assert reference.stderr.startswith((b"note:", b"error:", b"usage:"))
+        if fd2 == "closed":
+            proc = subprocess.run(argv, preexec_fn=lambda: os.close(2), **common)
+        else:
+            with open(os.devnull) as read_only:
+                proc = subprocess.run(argv, stderr=read_only, **common)
+        assert (proc.returncode, proc.stdout) == (code, reference.stdout)
 
     @pytest.mark.parametrize("kind", ["dimacs-declared", "edgelist"])
     def test_out_of_memory_is_one_line_and_exit_3(self, tmp_path, kind):
