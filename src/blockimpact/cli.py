@@ -57,8 +57,10 @@ CHECK_MAX_UNITS = 24 * 10**8
 
 TSV_COLUMNS = ("label", "impact", "is_articulation", "component_id", "component_size")
 
-# One vertex of the JSON report, byte for byte as json.dumps(..., indent=2)
-# lays it out inside the "vertices" list; the label goes in JSON-encoded.
+# One vertex of the report per format, in TSV_COLUMNS order. The JSON row is
+# byte for byte as json.dumps(..., indent=2) lays it out inside the
+# "vertices" list; its label goes in JSON-encoded.
+TSV_ROW = "%s\t%d\t%s\t%d\t%d\n"
 JSON_ROW = (
     "    {\n"
     '      "label": %s,\n'
@@ -161,18 +163,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return graph
 
 
-def _summary_pairs(report: ImpactReport) -> list[tuple[str, object]]:
-    pairs: list[tuple[str, object]] = [
-        ("n", report.n),
-        ("m", report.m),
-        ("a", report.articulation_count),
-        ("max_impact", report.max_impact),
-    ]
-    if report.max_impact_label is not None:
-        pairs.append(("max_impact_label", report.max_impact_label))
-    return pairs
-
-
 def _report_order(report: ImpactReport, labels: list[str], all_vertices: bool) -> list[int]:
     """Vertex ids by decreasing impact, ties by label (``labels``, the
     report's labels as a list); only articulation points unless
@@ -183,40 +173,44 @@ def _report_order(report: ImpactReport, labels: list[str], all_vertices: bool) -
     return order
 
 
+def _write_report(
+    out: TextIO, report: ImpactReport, labels: list[str], order: list[int], output: str
+) -> None:
+    """Write the rows of ``order`` between the summary head and tail of the
+    ``output`` format, ROWS_PER_WRITE rows per write. The JSON bytes are those
+    json.dumps(data, indent=2) writes, without its pure-Python encoder."""
+    pairs: list[tuple[str, object]] = [
+        ("n", report.n), ("m", report.m), ("a", report.articulation_count),
+        ("max_impact", report.max_impact),
+    ]
+    if report.max_impact_label is not None:
+        pairs.append(("max_impact_label", report.max_impact_label))
+    if output == "tsv":
+        row, sep, quote = TSV_ROW, "", str
+        head = "\t".join(TSV_COLUMNS) + "\n"
+        tail = "# " + " ".join(f"{k}={v}" for k, v in pairs) + "\n"
+    else:
+        row, sep, quote = JSON_ROW, ",\n", json.dumps
+        summary = ",\n".join(f"    {quote(k)}: {quote(v)}" for k, v in pairs)
+        head = f'{{\n  "summary": {{\n{summary}\n  }},\n  "vertices": ['
+        head, tail = (head + "\n", "\n  ]\n}\n") if order else (head, "]\n}\n")
+    impact, flag = report.impact, report.is_articulation
+    comp_id, comp_size = report.component_id, report.component_size
+    out.write(head)
+    for lo in range(0, len(order), ROWS_PER_WRITE):
+        out.write((sep if lo else "") + sep.join([
+            row % (quote(labels[v]), impact[v], "true" if flag[v] else "false",
+                   comp_id[v], comp_size[v])
+            for v in order[lo:lo + ROWS_PER_WRITE]
+        ]))
+    out.write(tail)
+
+
 def _cmd_analyze(args: argparse.Namespace, out: TextIO) -> int:
     report = compute_all_impacts(_load_graph(args))
     labels = list(report.labels)  # made once if made on read; read per row
     order = _report_order(report, labels, args.all_vertices)
-    impact = report.impact
-    flag = report.is_articulation
-    comp_id = report.component_id
-    comp_size = report.component_size
-    slices = (order[lo:lo + ROWS_PER_WRITE] for lo in range(0, len(order), ROWS_PER_WRITE))
-    if args.output == "tsv":
-        summary = " ".join(f"{k}={v}" for k, v in _summary_pairs(report))
-        out.write("\t".join(TSV_COLUMNS) + "\n")
-        for part in slices:
-            out.write("".join([
-                f"{labels[v]}\t{impact[v]}\t{'true' if flag[v] else 'false'}"
-                f"\t{comp_id[v]}\t{comp_size[v]}\n"
-                for v in part
-            ]))
-        out.write(f"# {summary}\n")
-    else:
-        # The bytes json.dumps(data, indent=2) writes, without its
-        # pure-Python indenting encoder.
-        dumps = json.dumps
-        summary = ",\n".join(f"    {dumps(k)}: {dumps(v)}" for k, v in _summary_pairs(report))
-        out.write(f'{{\n  "summary": {{\n{summary}\n  }},\n  "vertices": [')
-        lead = "\n"  # before the first row; later slices go on after a ","
-        for part in slices:
-            out.write(lead + ",\n".join([
-                JSON_ROW % (dumps(labels[v]), impact[v], "true" if flag[v] else "false",
-                            comp_id[v], comp_size[v])
-                for v in part
-            ]))
-            lead = ",\n"
-        out.write("\n  ]\n}\n" if order else "]\n}\n")
+    _write_report(out, report, labels, order, args.output)
     return 0
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import random
 from array import array
 from collections.abc import Sequence
@@ -159,9 +160,14 @@ class ParseResult(NamedTuple):
 # DecimalLabels checks every integer count against it before any allocation.
 MAX_VERTICES = 2**31 - 1
 
-# Largest vertex count a DIMACS ``p`` line may declare: the CSR build
-# allocates per declared vertex, so the count is checked before any allocation.
-MAX_DIMACS_VERTICES = 2**26
+# Largest vertex count a DIMACS ``p`` line may declare, checked before any
+# allocation: at most 2**26, and no more than physical memory holds at 190
+# bytes per declared vertex (up to ~187 measured).
+try:
+    MAX_DIMACS_VERTICES = min(
+        2**26, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 190)
+except (AttributeError, ValueError, OSError):  # the platform does not report it
+    MAX_DIMACS_VERTICES = 2**26
 
 
 def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:

@@ -34,6 +34,12 @@ GOLDEN = Path(__file__).parent / "golden"
 PATH6 = str(DATA / "path6.edges")
 
 
+# Physical memory in bytes; 0 where the platform does not report it.
+PHYSICAL_BYTES = (
+    os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") if hasattr(os, "sysconf") else 0
+)
+
+
 def run_cli(capsys, *args):
     code = run(list(args))
     captured = capsys.readouterr()
@@ -160,6 +166,46 @@ class TestInputEncoding:
         assert (code, out) == (2, "")
         assert err.startswith("error: line 1: declared vertex count 101 exceeds the limit of 100")
 
+    @pytest.mark.skipif(
+        not PHYSICAL_BYTES or (1 << 26) * 190 <= PHYSICAL_BYTES,
+        reason="2**26 declared vertices fit in physical memory here, or it is not reported",
+    )
+    def test_declared_count_past_physical_memory_is_refused_small(self, tmp_path):
+        # An 18-byte file whose 2**26 vertices, at up to ~187 bytes each, need
+        # more memory than the machine has: refused on the 'p' line. The CLI
+        # is started from a small launcher, as a child's peak RSS from wait4
+        # also counts the process it was forked from; a 1 GiB address-space
+        # cap turns a limit that lets the count through into exit 3, not into
+        # an allocation past the machine's memory.
+        path = tmp_path / "huge.col"
+        path.write_bytes(b"p edge 67108864 0\n")
+        assert path.stat().st_size == 18
+        launcher = (
+            "import os, resource, subprocess, sys\n"
+            "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdin=subprocess.DEVNULL,"
+            " stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=cap)\n"
+            "out, err = proc.stdout.read(), proc.stderr.read()\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+            "print(proc.returncode, len(out), usage.ru_maxrss)\n"
+            "sys.stdout.write(err.decode())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher,
+             sys.executable, "-m", "blockimpact.cli", "analyze", "--format", "dimacs", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        summary, *err = proc.stdout.splitlines()
+        code, out_bytes, maxrss_kib = map(int, summary.split())
+        assert (code, out_bytes) == (2, 0)
+        assert len(err) == 1
+        assert err[0].startswith("error: line 1: declared vertex count 67108864 exceeds the limit of ")
+        assert maxrss_kib < 100 * 1024  # ru_maxrss is in KiB on Linux
+
 
 class TestOutputEncoding:
     @pytest.mark.parametrize("command", ["analyze", "dot"])
@@ -271,24 +317,30 @@ class TestReportOrder:
         tsv.append("# " + " ".join(f"{k}={v}" for k, v in summary.items()))
         return {"tsv": "\n".join(tsv) + "\n", "json": json.dumps(data, indent=2) + "\n"}
 
-    @pytest.mark.parametrize("output", ["tsv", "json"])
-    def test_rows_written_in_bounded_slices(self, monkeypatch, tmp_path, output):
-        # With three rows per write: no rows, fewer than a slice, exactly one
-        # and two slices, and a short last slice.
+    @pytest.mark.parametrize(
+        "output, all_vertices",
+        [("tsv", True), ("json", True), ("tsv", False), ("json", False)],
+        ids=["tsv", "json", "tsv-articulation", "json-articulation"],
+    )
+    def test_rows_written_in_bounded_slices(self, monkeypatch, tmp_path, output, all_vertices):
+        # With three rows per write, paths on 0-7 vertices give 0-7 rows with
+        # --all and 0-5 articulation rows without: no rows, fewer than a
+        # slice, exactly one and two slices, and a short last slice.
         import blockimpact.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "ROWS_PER_WRITE", 3)
         row_mark = "\t" if output == "tsv" else '"label": '
-        for n in (0, 1, 2, 3, 4, 6, 7):
+        flags = ["--all"] if all_vertices else []
+        for n in (0, 1, 2, 3, 4, 5, 6, 7):
             path = tmp_path / f"path{n}.edges"
             text = "v 0\n" if n == 1 else "".join(f"{i} {i + 1}\n" for i in range(n - 1))
             path.write_text(text)
             writes: list[str] = []
             monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
-            assert run(["analyze", str(path), "--all", "--output", output]) == 0
+            assert run(["analyze", str(path), *flags, "--output", output]) == 0
             report = compute_all_impacts(parse_edge_list(text).graph)
             assert report.n == n
-            assert "".join(writes) == self.expected_outputs(report, True)[output], n
+            assert "".join(writes) == self.expected_outputs(report, all_vertices)[output], n
             rows_per_write = [sum(row_mark in ln for ln in w.splitlines()) for w in writes]
             assert max(rows_per_write) <= 3, (n, rows_per_write)
 
@@ -709,8 +761,10 @@ class TestExitCodes:
 
         if kind == "dimacs-declared":
             # Within the declared-count limit, but its labels alone need GiBs.
+            from blockimpact.graph import MAX_DIMACS_VERTICES
+
             path = tmp_path / "huge.dimacs"
-            path.write_text("p edge 67108864 0\n")
+            path.write_text(f"p edge {MAX_DIMACS_VERTICES} 0\n")
             args = ["--format", "dimacs", str(path)]
         else:
             # 300 000 disjoint edges: ~166 MiB peak RSS uncapped.

@@ -1,5 +1,6 @@
 import io
 import itertools
+import os
 import pickle
 import random
 from array import array
@@ -128,6 +129,13 @@ class TestParseDimacs:
         with pytest.raises(ParseError, match="exceeds the limit of 8") as exc:
             parse_dimacs("c huge\np edge 9 0\ne 1 2")
         assert exc.value.line == 2
+
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no sysconf to read physical memory")
+    def test_vertex_limit_fits_physical_memory(self):
+        # A declared vertex costs up to ~187 bytes, so the limit leaves a 'p'
+        # line no count that needs more memory than the machine has.
+        physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert graph_mod.MAX_DIMACS_VERTICES * 190 <= physical
 
     def test_huge_declared_vertex_count_allocates_nothing(self):
         # Rejected on the 'p' line, before one label is built.
@@ -801,7 +809,7 @@ class TestGenerateMatchesFromEdges:
             pairs = list(itertools.combinations(range(n), 2))
             assert [graph_mod._pair_from_index(i, n) for i in range(len(pairs))] == pairs, n
 
-    @pytest.mark.parametrize("n", [1 << 17, 1 << 20, graph_mod.MAX_DIMACS_VERTICES, 10**9])
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 20, 1 << 26, 10**9])
     def test_pair_from_index_at_row_ends(self, n):
         # Row u starts with (u, u+1) and ends with (u, n-1); the last index
         # of all is the last row's one pair.

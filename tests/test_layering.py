@@ -5,10 +5,12 @@ named here, so a concept cannot drift into a second module unnoticed.
 ``cli`` and ``__init__`` are the entry points and may import any module.
 Every function the package defines is exported, or used by the package, the
 benchmark or the acceptance tests, every name a module imports is read in
-that module, and every dataclass is frozen.
+that module, every dataclass is frozen, and the tunable integer constants
+are a fixed list.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import blockimpact
@@ -194,3 +196,23 @@ def test_no_unused_imports():
         if found := _unused_imports(_tree(path), exported):
             unused[path.stem] = found
     assert unused == {}
+
+
+# Every module-level UPPER_CASE integer of the package: its tunable sizes and
+# limits. Adding or removing one means editing this set, and saying so.
+KNOBS = {
+    "ROWS_PER_WRITE", "CHARS_PER_WRITE", "ORACLE_NS_PER_UNIT", "CHECK_MAX_UNITS",
+    "LINES_PER_JOIN", "MAX_VERTICES", "MAX_DIMACS_VERTICES",
+}
+
+
+def test_knob_inventory():
+    modules = [importlib.import_module(f"blockimpact.{path.stem}")
+               for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    found = {
+        name
+        for module in [blockimpact, *modules]
+        for name, value in vars(module).items()
+        if name.isupper() and type(value) is int
+    }
+    assert found == KNOBS
