@@ -12,13 +12,13 @@ oracle. A brute-force removal oracle ships alongside for verification.
 """
 
 from .bench import sweep, time_all_impacts
-from .dot import export_dot
 from .forest import (
     BlockForest,
     articulation_points,
     biconnected_components,
     bridges,
     build_block_forest,
+    export_dot,
     rerooted_at,
 )
 from .graph import (

@@ -25,8 +25,7 @@ from itertools import compress
 from typing import TextIO
 
 from .bench import format_rows, sweep
-from .dot import export_dot
-from .forest import build_block_forest
+from .forest import build_block_forest, export_dot
 from .graph import (
     GENERATOR_FAMILIES,
     GeneratorSpec,

@@ -1,24 +1,28 @@
-"""Block forest construction and structure queries.
+"""Block forest construction, structure queries and Graphviz DOT export.
 
 The block forest is the bipartite forest with a *square* node per graph
 vertex and a *round* node per biconnected component; a square is adjacent to
 every round node of a block containing it. One function,
 :func:`build_block_forest`, builds it in a single Hopcroft-Tarjan DFS with an
 edge stack, run on an explicit vertex stack so million-vertex paths cannot
-overflow the interpreter's call stack. It labels no components: the lowpoint
-DFS in :mod:`blockimpact.impact` does that.
+overflow the interpreter's call stack.
 
 Node ids: squares reuse the graph's vertex ids 0..n-1; round node r gets the
 absolute id n + r. ``parent`` orients every tree: each non-singleton tree is
 rooted at a round node (the last block closed in its component, which always
 contains the component's DFS start vertex); an isolated vertex forms a
-single-square tree rooted at itself. Cut vertices are read off ``parent``;
-no square -> rounds index is kept.
+single-square tree rooted at itself.
+
+:func:`export_dot` writes every tree into one undirected DOT graph: squares
+are boxes labeled with the vertex label, bold at cut vertices, and round
+nodes are ellipses labeled with their subtree square count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from itertools import compress, islice
 
 from .graph import Graph
 
@@ -29,10 +33,8 @@ class BlockForest:
 
     ``member_flat[member_indptr[r]:member_indptr[r+1]]`` lists round r's
     member squares in attachment order. ``parent`` covers all nodes (squares
-    then rounds), -1 at roots. Trees with an edge are rooted at rounds, so a
-    square lies in two or more blocks (is a cut vertex) exactly when it is
-    some round's parent. No square -> rounds index or part of the graph is
-    kept: :func:`edge_rounds` reads the edge table from the graph it is given.
+    then rounds), -1 at roots. The forest holds no part of the graph:
+    :func:`edge_rounds` reads the edge table from the graph it is given.
     """
 
     n_squares: int
@@ -171,9 +173,19 @@ def build_block_forest(g: Graph) -> BlockForest:
     )
 
 
+def _cut_flags(bf: BlockForest) -> bytearray:
+    """One byte per square, 1 at a cut vertex: trees with an edge are rooted at
+    rounds, so a square lies in two or more blocks exactly when a round hangs below it."""
+    cut = bytearray(bf.n_squares)
+    for p in bf.parent[bf.n_squares:]:
+        if p >= 0:
+            cut[p] = 1
+    return cut
+
+
 def articulation_points(bf: BlockForest) -> set[int]:
-    """Vertices lying in two or more blocks: the squares a round hangs below."""
-    return {p for p in bf.parent[bf.n_squares:] if p >= 0}
+    """Vertices lying in two or more blocks."""
+    return set(compress(range(bf.n_squares), _cut_flags(bf)))
 
 
 def biconnected_components(bf: BlockForest) -> list[set[int]]:
@@ -225,3 +237,36 @@ def rerooted_at(bf: BlockForest, round_node: int) -> BlockForest:
         parent[node], prev, node = prev, node, parent[node]
     roots = [round_node if r == prev else r for r in bf.roots]
     return replace(bf, parent=parent, roots=roots)
+
+
+def _quote(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# Lines per join: the text is built from joins of this many lines, so no
+# list of every line is held next to it.
+LINES_PER_JOIN = 4096
+
+
+def _lines(labels: Sequence[str], bf: BlockForest, sizes: list[int]) -> Iterator[str]:
+    """The DOT text, one newline-terminated line at a time."""
+    cut = _cut_flags(bf)
+    yield "graph block_forest {\n"
+    for v, label in enumerate(labels):
+        style = ", style=bold" if cut[v] else ""
+        yield f"  s{v} [shape=box{style}, label={_quote(label)}];\n"
+    for r, size in enumerate(sizes[bf.n_squares:]):
+        yield f'  r{r} [shape=ellipse, label="{size}"];\n'
+    for r in range(bf.num_rounds):
+        for v in bf.round_members(r):
+            yield f"  s{v} -- r{r};\n"
+    yield "}\n"
+
+
+def export_dot(labels: Sequence[str], bf: BlockForest, sizes: list[int]) -> str:
+    """The whole DOT text, built from joins of at most LINES_PER_JOIN lines."""
+    lines = _lines(labels, bf, sizes)
+    chunks = []
+    while chunk := "".join(islice(lines, LINES_PER_JOIN)):
+        chunks.append(chunk)
+    return "".join(chunks)

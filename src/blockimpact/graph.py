@@ -10,11 +10,10 @@ pointer plus one boxed int each, so a graph has at most
 from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
 ``Graph.from_edges`` given a count, and :func:`generate`) hold a
 :class:`DecimalLabels` instead, which makes each label when it is read. Every
-builder of given edges ends in one repeat check, which keeps no per-edge set: a
-repeated edge shows up in the built CSR as a vertex listing a neighbour twice,
-and only then is the CSR built again; :func:`generate`, whose edges cannot
-repeat, skips it. This module imports nothing else from the package; the
-component labeling lives in :mod:`blockimpact.impact`.
+builder of given edges ends in one repeat check: a repeated edge shows up in
+the built CSR as a vertex listing a neighbour twice, and only then is the CSR
+built again; :func:`generate`, whose edges cannot repeat, skips it. This
+module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -278,10 +277,11 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
     """Parse the DIMACS ``p edge`` format (1-based ``e u v`` lines) from a
     string or any iterable of lines, such as an open file.
 
-    The vertex count comes from the ``p`` line, so isolated vertices are
-    preserved; a count above :data:`MAX_DIMACS_VERTICES` is rejected. The
-    declared edge count is advisory: after dropping self-loops and duplicates
-    the retained count wins. Repeats are found as in :func:`parse_edge_list`.
+    ``p`` and ``e`` lines are ASCII, their counts and ids decimal integers with
+    no ``_`` or ``+``. The vertex count comes from the ``p`` line, so isolated
+    vertices are kept; a count above :data:`MAX_DIMACS_VERTICES` is rejected.
+    The declared edge count is advisory: after dropping self-loops and
+    duplicates the retained count wins. Repeats are found as in :func:`parse_edge_list`.
     """
     n: int | None = None
     ends = array("i")
@@ -297,9 +297,10 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
                 raise ParseError("'e' line before 'p' line", lineno)
             if len(parts) != 3:
                 raise ParseError("malformed 'e' line (expected 'e <u> <v>')", lineno)
+            if not line.isascii() or "_" in line or "+" in line:  # int() takes these
+                raise ParseError("non-integer vertex id in 'e' line", lineno)
             try:
-                u = int(parts[1])
-                w = int(parts[2])
+                u, w = int(parts[1]), int(parts[2])
             except ValueError:
                 raise ParseError("non-integer vertex id in 'e' line", lineno) from None
             if not (1 <= u <= n) or not (1 <= w <= n):
@@ -316,9 +317,10 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
                 raise ParseError("duplicate 'p' line", lineno)
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError("malformed 'p' line (expected 'p edge <n> <m>')", lineno)
+            if not line.isascii() or "_" in line or "+" in line:
+                raise ParseError("non-integer counts in 'p' line", lineno)
             try:
-                n = int(parts[2])
-                declared_m = int(parts[3])
+                n, declared_m = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError("non-integer counts in 'p' line", lineno) from None
             if n < 0 or declared_m < 0:

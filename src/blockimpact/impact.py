@@ -71,9 +71,7 @@ def impact_vector(bf: BlockForest, sq: list[int], cc: CcLabeling) -> list[int]:
 
     Deleting v leaves one piece per child block of v's square, the squares
     of that block's subtree, plus everything in v's component outside v's
-    subtree; the impact is the component size minus the largest piece minus
-    one. Grouping rounds by their parent square avoids materializing
-    per-square adjacency.
+    subtree; the impact is the component size minus one minus the largest piece.
     """
     n = bf.n_squares
     parent = bf.parent

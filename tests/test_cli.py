@@ -156,6 +156,13 @@ class TestInputEncoding:
         assert code == 2
         assert err == "error: standard input: not UTF-8 text\n"
 
+    def test_dimacs_id_that_is_not_ascii_decimal_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "plus.col"
+        path.write_text("p edge 2 1\ne +1 2\n")
+        code, out, err = run_cli(capsys, "analyze", str(path), "--format", "dimacs")
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: non-integer vertex id in 'e' line\n"
+
     def test_huge_declared_vertex_count_exits_two(self, capsys, tmp_path, monkeypatch):
         import blockimpact.graph as graph_mod
 
@@ -466,9 +473,9 @@ class TestDot:
     def test_text_built_from_bounded_joins(self, monkeypatch):
         # With three lines per join, DOT texts of 2, 3, 4, 6, 7, 9 and 11
         # lines, and the bowtie's, equal the text built line by line.
-        import blockimpact.dot as dot_mod
+        import blockimpact.forest as forest_mod
 
-        monkeypatch.setattr(dot_mod, "LINES_PER_JOIN", 3)
+        monkeypatch.setattr(forest_mod, "LINES_PER_JOIN", 3)
         texts = ["", "v a\n", "v a\nv b\n", "v a\nv b\nv c\nv d\n", "a b\n",
                  "a b\nb c\nc a\n", "a b\nb c\n", 'q"t b\\s\n']
         for g in [parse_edge_list(t).graph for t in texts] + [bowtie()]:
@@ -486,6 +493,22 @@ class TestDot:
                 want += [f"  s{v} -- r{r};" for v in bf.round_members(r)]
             want.append("}")
             assert export_dot(g.labels, bf, sizes) == "".join(ln + "\n" for ln in want), g.labels
+
+    def test_text_written_in_bounded_slices(self, monkeypatch):
+        # The text layer encodes one slice per write, never a bytes copy of
+        # the whole text: every write holds at most CHARS_PER_WRITE characters.
+        import blockimpact.cli as cli_mod
+
+        g = bowtie()
+        bf = build_block_forest(g)
+        text = export_dot(g.labels, bf, compute_sq_sizes(bf))
+        for limit in (1, 50, len(text) // 2, len(text) - 1):
+            monkeypatch.setattr(cli_mod, "CHARS_PER_WRITE", limit)
+            writes: list[str] = []
+            monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+            assert run(["dot", str(DATA / "bowtie.edges")]) == 0
+            assert "".join(writes) == text
+            assert len(writes) >= 2 and max(map(len, writes)) <= limit, (limit, len(writes))
 
     def test_bold_squares_are_the_articulation_points(self):
         # Under the built rooting and every re-rooting at a round; the sparse

@@ -137,6 +137,34 @@ class TestParseDimacs:
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         assert graph_mod.MAX_DIMACS_VERTICES * 190 <= physical
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "\uff13"],
+                             ids=["underscore", "plus", "arabic-indic-3", "fullwidth-3"])
+    def test_counts_and_ids_are_ascii_decimal(self, token):
+        # int() reads each token (as 10, 1 or 3, all in range here); no
+        # DecimalLabels label is written that way. A 'c' line may hold it.
+        head = f"c {token}\np edge 12 1\n"
+        assert parse_dimacs(f"{head}e 1 2\n").graph.m == 1
+        for text, message in [
+            (f"c {token}\np edge {token} 0\n", "non-integer counts in 'p' line"),
+            (f"c {token}\np edge 12 {token}\n", "non-integer counts in 'p' line"),
+            (f"{head}e 1 2\ne {token} 2\n", "non-integer vertex id in 'e' line"),
+            (f"{head}e 1 2\ne 2 {token}\n", "non-integer vertex id in 'e' line"),
+        ]:
+            with pytest.raises(ParseError, match=message) as exc:
+                parse_dimacs(text)
+            assert exc.value.line == text.count("\n"), text
+
+    def test_negative_counts_and_ids_keep_their_messages(self):
+        for text, message, line in [
+            ("p edge -1 0\n", "negative counts in 'p' line", 1),
+            ("p edge 3 -1\n", "negative counts in 'p' line", 1),
+            ("p edge 3 1\ne -1 2\n", r"vertex id out of range 1\.\.3", 2),
+            ("p edge 3 1\ne 2 -3\n", r"vertex id out of range 1\.\.3", 2),
+        ]:
+            with pytest.raises(ParseError, match=message) as exc:
+                parse_dimacs(text)
+            assert exc.value.line == line, text
+
     def test_huge_declared_vertex_count_allocates_nothing(self):
         # Rejected on the 'p' line, before one label is built.
         with pytest.raises(ParseError) as exc:

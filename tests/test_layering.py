@@ -23,7 +23,6 @@ LAYERS = {
     "graph": set(),
     "forest": {"graph"},
     "impact": {"forest", "graph"},
-    "dot": {"forest"},
     "oracle": {"graph", "impact"},
     "bench": {"graph", "impact"},
 }

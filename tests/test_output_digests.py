@@ -2,7 +2,7 @@
 
 The goldens cover four tiny fixtures, which fit in one write slice. Here the
 inputs are generated from fixed seeds and are large enough that every output
-crosses its slice size (``cli.ROWS_PER_WRITE`` rows, ``dot.LINES_PER_JOIN``
+crosses its slice size (``cli.ROWS_PER_WRITE`` rows, ``forest.LINES_PER_JOIN``
 lines, ``cli.CHARS_PER_WRITE`` characters) several times. The sha256 of each
 output was recorded at commit ``9248749``, those of ``json`` (articulation
 points only) at commit ``78f688e``. A change that alters output on purpose
