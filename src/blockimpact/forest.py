@@ -243,8 +243,8 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# Lines per join: the text is built from joins of this many lines, so no
-# list of every line is held next to it.
+# Output lines per join, for the DOT text here and the report rows cli writes:
+# no list of every line is held, only one join's worth beyond the output.
 LINES_PER_JOIN = 4096
 
 

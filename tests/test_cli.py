@@ -333,9 +333,9 @@ class TestReportOrder:
         # With three rows per write, paths on 0-7 vertices give 0-7 rows with
         # --all and 0-5 articulation rows without: no rows, fewer than a
         # slice, exactly one and two slices, and a short last slice.
-        import blockimpact.cli as cli_mod
+        import blockimpact.forest as forest_mod
 
-        monkeypatch.setattr(cli_mod, "ROWS_PER_WRITE", 3)
+        monkeypatch.setattr(forest_mod, "LINES_PER_JOIN", 3)
         row_mark = "\t" if output == "tsv" else '"label": '
         flags = ["--all"] if all_vertices else []
         for n in (0, 1, 2, 3, 4, 5, 6, 7):
@@ -363,7 +363,12 @@ class TestCheck:
         assert code == 0
         assert out == "OK (500 graphs)\n"
 
-    def test_mismatch_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "col", ["impact", "is_articulation", "component_id", "component_size"]
+    )
+    def test_mismatch_exits_one(self, capsys, monkeypatch, col):
+        # One column of the naive report skewed at every vertex: the first
+        # vertex's mismatch names that column.
         from dataclasses import replace
 
         import blockimpact.cli as cli_mod
@@ -371,12 +376,15 @@ class TestCheck:
 
         def skewed(g):
             report = real_naive(g)
-            return replace(report, impact=[x + 1 for x in report.impact])
+            values = getattr(report, col)
+            skew = [not x for x in values] if col == "is_articulation" else [x + 1 for x in values]
+            return replace(report, **{col: skew})
 
         monkeypatch.setattr(cli_mod, "naive_all_impacts", skewed)
         code, out, _ = run_cli(capsys, "check", str(DATA / "path6.edges"))
         assert code == 1
-        assert out.startswith("mismatch: vertex 'a'")
+        assert out.startswith(f"mismatch: vertex 'a': fast {col}="), out
+        assert f", naive {col}=" in out, out
 
     def test_bad_sweep_value(self, capsys):
         code, _, err = run_cli(capsys, "check", "--sweep", "0")

@@ -2,8 +2,8 @@
 
 The goldens cover four tiny fixtures, which fit in one write slice. Here the
 inputs are generated from fixed seeds and are large enough that every output
-crosses its slice size (``cli.ROWS_PER_WRITE`` rows, ``forest.LINES_PER_JOIN``
-lines, ``cli.CHARS_PER_WRITE`` characters) several times. The sha256 of each
+crosses its slice size (``forest.LINES_PER_JOIN`` report rows or DOT lines,
+``cli.CHARS_PER_WRITE`` characters) several times. The sha256 of each
 output was recorded at commit ``9248749``, those of ``json`` (articulation
 points only) at commit ``78f688e``. A change that alters output on purpose
 updates the digest here and says so, as it would a golden.
