@@ -155,18 +155,14 @@ class ParseResult(NamedTuple):
     dropped: int  # self-loop and duplicate-edge lines discarded
 
 
-# Largest vertex count of any graph, as ids are stored in 4-byte "i" slots;
-# DecimalLabels checks every integer count against it before any allocation.
-MAX_VERTICES = 2**31 - 1
-
-# Largest vertex count a DIMACS ``p`` line may declare, checked before any
-# allocation: at most 2**26, and no more than physical memory holds at 190
-# bytes per declared vertex (up to ~187 measured).
+# Largest vertex count of any graph, which DecimalLabels checks every integer
+# count against before any allocation: ids fit in 4-byte "i" slots, and physical
+# memory holds 190 bytes per vertex (up to ~187 measured). 2**26 if not reported.
 try:
-    MAX_DIMACS_VERTICES = min(
-        2**26, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 190)
+    MAX_VERTICES = min(
+        2**31 - 1, os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 190)
 except (AttributeError, ValueError, OSError):  # the platform does not report it
-    MAX_DIMACS_VERTICES = 2**26
+    MAX_VERTICES = 2**26
 
 
 def _from_clean_edges(labels: Sequence[str], ends: array) -> Graph:
@@ -279,7 +275,7 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
 
     ``p`` and ``e`` lines are ASCII, their counts and ids decimal integers with
     no ``_`` or ``+``. The vertex count comes from the ``p`` line, so isolated
-    vertices are kept; a count above :data:`MAX_DIMACS_VERTICES` is rejected.
+    vertices are kept; a count above :data:`MAX_VERTICES` is refused on that line.
     The declared edge count is advisory: after dropping self-loops and
     duplicates the retained count wins. Repeats are found as in :func:`parse_edge_list`.
     """
@@ -325,16 +321,15 @@ def parse_dimacs(text: str | Iterable[str]) -> ParseResult:
                 raise ParseError("non-integer counts in 'p' line", lineno) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative counts in 'p' line", lineno)
-            if n > MAX_DIMACS_VERTICES:
-                raise ParseError(
-                    f"declared vertex count {n} exceeds the limit of {MAX_DIMACS_VERTICES}",
-                    lineno,
-                )
+            try:
+                labels = DecimalLabels(1, n)
+            except ValueError as exc:  # the count is past MAX_VERTICES
+                raise ParseError(f"declared {exc}", lineno) from None
         else:
             raise ParseError(f"unexpected line type {kind!r}", lineno)
     if n is None:
         raise ParseError("missing 'p' line")
-    return _without_repeats(DecimalLabels(1, n), ends, dropped)
+    return _without_repeats(labels, ends, dropped)
 
 
 def format_edge_list(g: Graph) -> str:

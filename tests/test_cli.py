@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -166,7 +167,7 @@ class TestInputEncoding:
     def test_huge_declared_vertex_count_exits_two(self, capsys, tmp_path, monkeypatch):
         import blockimpact.graph as graph_mod
 
-        monkeypatch.setattr(graph_mod, "MAX_DIMACS_VERTICES", 100)
+        monkeypatch.setattr(graph_mod, "MAX_VERTICES", 100)
         path = tmp_path / "huge.col"
         path.write_text("p edge 101 1\ne 1 2\n")
         code, out, err = run_cli(capsys, "analyze", str(path), "--format", "dimacs")
@@ -174,19 +175,20 @@ class TestInputEncoding:
         assert err.startswith("error: line 1: declared vertex count 101 exceeds the limit of 100")
 
     @pytest.mark.skipif(
-        not PHYSICAL_BYTES or (1 << 26) * 190 <= PHYSICAL_BYTES,
-        reason="2**26 declared vertices fit in physical memory here, or it is not reported",
+        not PHYSICAL_BYTES or (2**31 - 1) * 190 <= PHYSICAL_BYTES,
+        reason="2**31 - 1 declared vertices fit in physical memory here, or it is not reported",
     )
     def test_declared_count_past_physical_memory_is_refused_small(self, tmp_path):
-        # An 18-byte file whose 2**26 vertices, at up to ~187 bytes each, need
-        # more memory than the machine has: refused on the 'p' line. The CLI
-        # is started from a small launcher, as a child's peak RSS from wait4
-        # also counts the process it was forked from; a 1 GiB address-space
-        # cap turns a limit that lets the count through into exit 3, not into
-        # an allocation past the machine's memory.
+        # A 20-byte file whose 2**31 - 1 vertices fit the 4-byte id slots but,
+        # at up to ~187 bytes each, need more memory than the machine has:
+        # refused on the 'p' line. The CLI is started from a small launcher,
+        # as a child's peak RSS from wait4 also counts the process it was
+        # forked from; a 1 GiB address-space cap turns a limit that lets the
+        # count through into exit 3, not into an allocation past the
+        # machine's memory.
         path = tmp_path / "huge.col"
-        path.write_bytes(b"p edge 67108864 0\n")
-        assert path.stat().st_size == 18
+        path.write_bytes(b"p edge 2147483647 0\n")
+        assert path.stat().st_size == 20
         launcher = (
             "import os, resource, subprocess, sys\n"
             "cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -209,8 +211,8 @@ class TestInputEncoding:
         summary, *err = proc.stdout.splitlines()
         code, out_bytes, maxrss_kib = map(int, summary.split())
         assert (code, out_bytes) == (2, 0)
-        assert len(err) == 1
-        assert err[0].startswith("error: line 1: declared vertex count 67108864 exceeds the limit of ")
+        assert err == ["error: line 1: declared vertex count 2147483647 exceeds the limit of "
+                       f"{PHYSICAL_BYTES // 190}"]
         assert maxrss_kib < 100 * 1024  # ru_maxrss is in KiB on Linux
 
 
@@ -480,10 +482,18 @@ class TestDot:
 
     def test_text_built_from_bounded_joins(self, monkeypatch):
         # With three lines per join, DOT texts of 2, 3, 4, 6, 7, 9 and 11
-        # lines, and the bowtie's, equal the text built line by line.
+        # lines, and the bowtie's, equal the text built line by line, and
+        # each text of 4 or more lines is built from joins of at most 3.
         import blockimpact.forest as forest_mod
 
+        joins = []  # the lines of each slice export_dot takes, in order
+
+        def recording_islice(iterable, *args):
+            joins.append(list(islice(iterable, *args)))
+            return iter(joins[-1])
+
         monkeypatch.setattr(forest_mod, "LINES_PER_JOIN", 3)
+        monkeypatch.setattr(forest_mod, "islice", recording_islice)
         texts = ["", "v a\n", "v a\nv b\n", "v a\nv b\nv c\nv d\n", "a b\n",
                  "a b\nb c\nc a\n", "a b\nb c\n", 'q"t b\\s\n']
         for g in [parse_edge_list(t).graph for t in texts] + [bowtie()]:
@@ -500,7 +510,13 @@ class TestDot:
             for r in range(bf.num_rounds):
                 want += [f"  s{v} -- r{r};" for v in bf.round_members(r)]
             want.append("}")
-            assert export_dot(g.labels, bf, sizes) == "".join(ln + "\n" for ln in want), g.labels
+            joins.clear()
+            text = export_dot(g.labels, bf, sizes)
+            assert text == "".join(ln + "\n" for ln in want), g.labels
+            made = [join for join in joins if join]
+            assert "".join(map("".join, made)) == text
+            assert all(len(join) <= 3 for join in made)
+            assert len(made) > 1 or len(want) < 4, g.labels
 
     def test_text_written_in_bounded_slices(self, monkeypatch):
         # The text layer encodes one slice per write, never a bytes copy of
@@ -587,17 +603,21 @@ class TestBench:
         assert "error" in err
 
     def test_size_past_four_byte_ids_is_one_line(self, capsys):
+        from blockimpact.graph import MAX_VERTICES
+
         code, out, err = run_cli(capsys, "bench", "--sizes", "2147483648")
         assert code == 2
         assert out == ""
-        assert err == "error: vertex count 2147483648 exceeds the limit of 2147483647\n"
+        assert err == f"error: vertex count 2147483648 exceeds the limit of {MAX_VERTICES}\n"
 
     def test_gnm_size_past_float_range_is_one_line(self, capsys):
+        from blockimpact.graph import MAX_VERTICES
+
         big = "1" + "0" * 400
         code, out, err = run_cli(capsys, "bench", "--family", "gnm", "--sizes", big)
         assert code == 2
         assert out == ""
-        assert err == f"error: vertex count {big} exceeds the limit of 2147483647\n"
+        assert err == f"error: vertex count {big} exceeds the limit of {MAX_VERTICES}\n"
 
     @pytest.mark.parametrize("m_per_n", ["10", "1e308"])
     def test_gnm_density_caps_at_the_complete_graph(self, capsys, m_per_n):
@@ -791,11 +811,11 @@ class TestExitCodes:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         if kind == "dimacs-declared":
-            # Within the declared-count limit, but its labels alone need GiBs.
-            from blockimpact.graph import MAX_DIMACS_VERTICES
+            # Within the vertex limit, but its CSR alone needs GiBs.
+            from blockimpact.graph import MAX_VERTICES
 
             path = tmp_path / "huge.dimacs"
-            path.write_text(f"p edge {MAX_DIMACS_VERTICES} 0\n")
+            path.write_text(f"p edge {MAX_VERTICES} 0\n")
             args = ["--format", "dimacs", str(path)]
         else:
             # 300 000 disjoint edges: ~166 MiB peak RSS uncapped.

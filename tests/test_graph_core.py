@@ -124,7 +124,7 @@ class TestParseDimacs:
         assert (g.m, dropped) == (1, 2)
 
     def test_declared_vertex_count_above_limit(self, monkeypatch):
-        monkeypatch.setattr(graph_mod, "MAX_DIMACS_VERTICES", 8)
+        monkeypatch.setattr(graph_mod, "MAX_VERTICES", 8)
         assert parse_dimacs("p edge 8 0").graph.n == 8
         with pytest.raises(ParseError, match="exceeds the limit of 8") as exc:
             parse_dimacs("c huge\np edge 9 0\ne 1 2")
@@ -132,10 +132,10 @@ class TestParseDimacs:
 
     @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="no sysconf to read physical memory")
     def test_vertex_limit_fits_physical_memory(self):
-        # A declared vertex costs up to ~187 bytes, so the limit leaves a 'p'
-        # line no count that needs more memory than the machine has.
+        # A vertex costs up to ~187 bytes, so the limit leaves a 'p' line or
+        # any other builder no count that needs more memory than the machine has.
         physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        assert graph_mod.MAX_DIMACS_VERTICES * 190 <= physical
+        assert graph_mod.MAX_VERTICES * 190 <= physical
 
     @pytest.mark.parametrize("token", ["1_0", "+1", "\u0663", "\uff13"],
                              ids=["underscore", "plus", "arabic-indic-3", "fullwidth-3"])
@@ -430,8 +430,8 @@ class TestGraphInvariants:
 
     def test_from_edges_rejects_a_count_past_four_byte_ids(self, monkeypatch):
         # Refused before anything is allocated, and the limit is named.
-        for count in (graph_mod.MAX_VERTICES + 1, 10**30):
-            with pytest.raises(ValueError, match=f"exceeds the limit of {2**31 - 1}"):
+        for count in (graph_mod.MAX_VERTICES + 1, 2**31, 10**30):
+            with pytest.raises(ValueError, match=f"exceeds the limit of {graph_mod.MAX_VERTICES}"):
                 Graph.from_edges(count, [])
         monkeypatch.setattr(graph_mod, "MAX_VERTICES", 4)
         assert Graph.from_edges(4, [(0, 3)]).n == 4
@@ -478,7 +478,7 @@ class TestStorage:
         assert len(g.ends) == 2 * g.m and len(g.nbr) == 2 * g.m
 
     def test_every_vertex_id_fits_the_slots(self):
-        assert graph_mod.MAX_DIMACS_VERTICES < graph_mod.MAX_VERTICES == 2**31 - 1
+        assert graph_mod.MAX_VERTICES <= 2**31 - 1
         assert array("i", [graph_mod.MAX_VERTICES - 1]).itemsize == 4
 
     @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
@@ -682,8 +682,9 @@ class TestGenerate:
     @pytest.mark.parametrize("family", GENERATOR_FAMILIES)
     def test_rejects_a_count_past_four_byte_ids(self, family, monkeypatch):
         # Refused before any edge is made, and the limit is named.
-        with pytest.raises(ValueError, match=f"exceeds the limit of {2**31 - 1}"):
-            generate(GeneratorSpec(family, graph_mod.MAX_VERTICES + 1, m=1, k=2))
+        for count in (graph_mod.MAX_VERTICES + 1, 2**31):
+            with pytest.raises(ValueError, match=f"exceeds the limit of {graph_mod.MAX_VERTICES}"):
+                generate(GeneratorSpec(family, count, m=1, k=2))
         monkeypatch.setattr(graph_mod, "MAX_VERTICES", 5)
         assert generate(GeneratorSpec(family, 5, m=1, k=2)).n == 5
         with pytest.raises(ValueError, match="vertex count 6 exceeds the limit of 5"):

@@ -201,7 +201,7 @@ def test_no_unused_imports():
 # limits. Adding or removing one means editing this set, and saying so.
 KNOBS = {
     "CHARS_PER_WRITE", "ORACLE_NS_PER_UNIT", "CHECK_MAX_UNITS", "LINES_PER_JOIN",
-    "MAX_VERTICES", "MAX_DIMACS_VERTICES",
+    "MAX_VERTICES",
 }
 
 
