@@ -36,7 +36,6 @@ from .impact import (
     ImpactReport,
     compute_all_impacts,
     compute_sq_sizes,
-    connected_components,
     impact_vector,
 )
 from .oracle import (
@@ -62,7 +61,6 @@ __all__ = [
     "build_block_forest",
     "compute_all_impacts",
     "compute_sq_sizes",
-    "connected_components",
     "export_dot",
     "format_edge_list",
     "generate",

@@ -11,10 +11,13 @@ open; what is left of v's component minus those pieces and v is the last
 piece. No block forest is built on this path. The same DFS labels the
 connected components (:class:`CcLabeling`), the one fast code that does.
 
-The paper's method gets the same pieces from the rooted block forest: one per
-child block of v's square node, plus the piece "above" v through its parent,
-all read off the square counts of one subtree-size sweep,
-:func:`compute_sq_sizes`, which holds under any rooting of the forest. It
+The paper's method gets the same pieces from the rooted block forest alone:
+one per child block of v's square node, plus the piece "above" v through its
+parent, all read off the square counts of one subtree-size sweep,
+:func:`compute_sq_sizes`, which holds under any rooting of the forest. Each
+tree is one component, and its root's count is the component's size under
+any rooting too: rerooting reverses parent pointers along one path, so the
+tree keeps its node set and the root's subtree is the whole tree. The method
 stays here for ``dot`` and, chained into :func:`impact_vector`, as the
 second linear-time oracle that the tests hold the DFS path against.
 """
@@ -32,8 +35,8 @@ from .graph import Graph
 class CcLabeling:
     """Connected-component labeling: ids are dense and assigned in order of
     each component's first-visited vertex. The lowpoint DFS of
-    :func:`_separated_pieces` is the one fast code that computes it
-    (:func:`connected_components`); the removal oracle keeps its own BFS."""
+    :func:`_separated_pieces` is the one fast code that computes it, as the
+    report's columns; the removal oracle keeps its own BFS."""
 
     component_id: list[int]  # per vertex
     component_size: list[int]  # per component
@@ -66,12 +69,14 @@ def compute_sq_sizes(bf: BlockForest) -> list[int]:
     return sq
 
 
-def impact_vector(bf: BlockForest, sq: list[int], cc: CcLabeling) -> list[int]:
-    """Impacts of all vertices in one pass over the round nodes.
+def impact_vector(bf: BlockForest, sq: list[int]) -> list[int]:
+    """Impacts of all vertices from the forest and its square counts alone.
 
     Deleting v leaves one piece per child block of v's square, the squares
     of that block's subtree, plus everything in v's component outside v's
     subtree; the impact is the component size minus one minus the largest piece.
+    The component size is the count at v's tree root; climbs up ``parent``
+    hand it to each node once, and 0 marks it unknown: every tree has a square.
     """
     n = bf.n_squares
     parent = bf.parent
@@ -82,11 +87,19 @@ def impact_vector(bf: BlockForest, sq: list[int], cc: CcLabeling) -> list[int]:
             s = sq[node]
             if s > child_max[p]:
                 child_max[p] = s
-    comp_id = cc.component_id
-    comp_size = cc.component_size
+    comp_size = [0] * len(parent)
+    for root in bf.roots:
+        comp_size[root] = sq[root]
     out = [0] * n
     for v in range(n):
-        comp = comp_size[comp_id[v]]
+        x = v
+        while not comp_size[x]:
+            x = parent[x]
+        comp = comp_size[x]
+        x = v
+        while not comp_size[x]:
+            comp_size[x] = comp
+            x = parent[x]
         rest = comp - sq[v]
         cm = child_max[v]
         if rest > cm:
@@ -152,10 +165,9 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
     total size of the other such pieces.
 
     One explicit-stack DFS over the CSR arrays, components started in vertex
-    order, so component ids follow each component's first-visited vertex;
-    :func:`connected_components` returns this labeling. The tree edge back to
-    the parent p is not skipped: it can lower the child's lowpoint only to
-    number(p), which leaves the test lowpoint(child) >= number(p) unchanged.
+    order, so component ids follow each component's first-visited vertex. The
+    tree edge back to the parent p is not skipped: it can lower the child's
+    lowpoint only to number(p), which cannot flip lowpoint(child) >= number(p).
 
     Keeping the largest piece apart from the rest, rather than next to the
     total, leaves the rest at the shared small int 0 for a vertex that cuts
@@ -238,12 +250,6 @@ def _separated_pieces(g: Graph) -> tuple[CcLabeling, list[int], list[int]]:
     return CcLabeling(comp, sizes), cut_max, cut_rest
 
 
-def connected_components(g: Graph) -> CcLabeling:
-    """Component labeling of ``g``, read off the lowpoint DFS of
-    :func:`_separated_pieces`."""
-    return _separated_pieces(g)[0]
-
-
 def compute_all_impacts(g: Graph) -> ImpactReport:
     """Every vertex's impact, articulation flag and component, in O(n + m).
 
@@ -270,9 +276,7 @@ def build_forest_and_labeling(g: Graph) -> tuple[BlockForest, CcLabeling]:
 
     A seam for tracing, not a fused pass: the tests' forest oracle calls it,
     and the benchmark's tracer wraps ``impact.build_forest_and_labeling`` by
-    name and reads the forest as ``result[0]``. It lives here, not in
-    :mod:`blockimpact.forest`, because the labeling comes from this module,
-    which imports that one.
+    name and reads the forest as ``result[0]``. The package's forest method
+    no longer reads the labeling; ROADMAP item 1d deletes this function.
     """
-    return build_block_forest(g), connected_components(g)
-
+    return build_block_forest(g), _separated_pieces(g)[0]

@@ -61,8 +61,7 @@ def naive_articulation_points(g: Graph) -> set[int]:
 
 def _labeling(g: Graph) -> CcLabeling:
     # The oracle's own labeling, one BFS per component started in vertex
-    # order, independent of the lowpoint DFS behind
-    # impact.connected_components.
+    # order, independent of the lowpoint DFS behind the report's columns.
     comp = [0] * g.n
     seen = bytearray(g.n)
     sizes: list[int] = []

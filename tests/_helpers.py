@@ -19,7 +19,6 @@ from blockimpact import (
     articulation_points,
     compute_all_impacts,
     compute_sq_sizes,
-    connected_components,
     generate,
     GeneratorSpec,
     impact,
@@ -27,6 +26,7 @@ from blockimpact import (
     parse_edge_list,
 )
 from blockimpact.forest import edge_rounds
+from blockimpact.oracle import _labeling
 
 BOWTIE_TEXT = "a b\na c\nb c\nc d\nc e\nd e\n"
 PATH6_TEXT = "a b\nb c\nc d\nd e\ne f\n"
@@ -57,12 +57,27 @@ def multiblock() -> Graph:
 
 
 def forest_impacts(g: Graph) -> tuple[list[int], CcLabeling]:
-    """Impacts by the paper's block-forest method, components from the
-    lowpoint DFS: the second linear-time oracle for ``compute_all_impacts``.
+    """Impacts and the component labeling by the paper's block-forest method
+    alone: the second linear-time oracle for ``compute_all_impacts``. Tree i
+    is component i, as the roots are started in vertex order, and its size is
+    its root's square count; the seam's lowpoint-DFS labeling is discarded.
     Each step is looked up on :mod:`blockimpact.impact` when called, so the
     benchmark's tracer, which rebinds them there, sees all three."""
-    bf, cc = impact.build_forest_and_labeling(g)
-    return impact.impact_vector(bf, impact.compute_sq_sizes(bf), cc), cc
+    bf, _ = impact.build_forest_and_labeling(g)
+    sq = impact.compute_sq_sizes(bf)
+    tree = [-1] * bf.num_nodes
+    for i, root in enumerate(bf.roots):
+        tree[root] = i
+    for v in range(g.n):
+        passed = []
+        x = v
+        while tree[x] < 0:
+            passed.append(x)
+            x = bf.parent[x]
+        for y in passed:
+            tree[y] = tree[x]
+    cc = CcLabeling(tree[:g.n], [sq[root] for root in bf.roots])
+    return impact.impact_vector(bf, sq), cc
 
 
 def square_rounds(bf: BlockForest) -> list[list[int]]:
@@ -258,8 +273,9 @@ def check_block_forest(g: Graph, bf: BlockForest, *, removal_checks: bool = Fals
                     stack.append(y)
     assert all(seen)
 
-    # Roots are rounds except singleton-square trees; one tree per component.
-    cc = connected_components(g)
+    # Roots are rounds except singleton-square trees; one tree per component,
+    # counted by the oracle's BFS, which shares nothing with either DFS.
+    cc = _labeling(g)
     assert len(bf.roots) == len(cc.component_size)
     for root in bf.roots:
         if root < n:

@@ -15,7 +15,7 @@ from blockimpact import (
     GeneratorSpec,
     Graph,
     ParseError,
-    connected_components,
+    compute_all_impacts,
     format_edge_list,
     generate,
     parse_dimacs,
@@ -618,20 +618,25 @@ class TestRoundTrip:
 
 
 class TestConnectedComponents:
+    """The report's component columns: the labeling of the lowpoint DFS,
+    one id and one size per vertex."""
+
     def test_path_one_component(self):
-        cc = connected_components(generate(GeneratorSpec("path", 3)))
-        assert cc.component_size == [3]
+        report = compute_all_impacts(generate(GeneratorSpec("path", 3)))
+        assert report.component_id == [0, 0, 0]
+        assert report.component_size == [3, 3, 3]
 
     def test_isolated_vertices(self):
         g, _ = parse_dimacs("p edge 4 0")
-        cc = connected_components(g)
-        assert cc.component_size == [1, 1, 1, 1]
+        report = compute_all_impacts(g)
+        assert report.component_id == [0, 1, 2, 3]
+        assert report.component_size == [1, 1, 1, 1]
 
     def test_two_disjoint_triangles(self):
         g, _ = parse_edge_list("a b\nb c\nc a\nd e\ne f\nf d")
-        cc = connected_components(g)
-        assert cc.component_id == closure_components(g)
-        assert cc.component_size == [3, 3]
+        report = compute_all_impacts(g)
+        assert report.component_id == closure_components(g)
+        assert report.component_size == [3] * 6
 
     def test_matches_closure_on_small_graphs(self):
         rng = random.Random(424242)
@@ -639,21 +644,23 @@ class TestConnectedComponents:
             n = rng.randint(0, 8)
             m = rng.randint(0, n * (n - 1) // 2)
             g = generate(GeneratorSpec("gnm", n, m=m, seed=rng.randrange(2**32)))
-            cc = connected_components(g)
-            assert cc.component_id == closure_components(g)
-            assert sum(cc.component_size) == g.n
+            report = compute_all_impacts(g)
+            closure = closure_components(g)
+            assert report.component_id == closure
+            assert report.component_size == [closure.count(c) for c in closure]
 
     def test_exhaustive_tiny(self):
         for g in all_graphs_up_to(4):
-            cc = connected_components(g)
-            assert cc.component_id == closure_components(g)
-            assert sum(cc.component_size) == g.n
+            report = compute_all_impacts(g)
+            closure = closure_components(g)
+            assert report.component_id == closure
+            assert report.component_size == [closure.count(c) for c in closure]
             # ids appear in first-visit order
             first_seen = []
-            for c in cc.component_id:
+            for c in report.component_id:
                 if c not in first_seen:
                     first_seen.append(c)
-            assert first_seen == list(range(len(cc.component_size)))
+            assert first_seen == list(range(len(first_seen)))
 
     @pytest.mark.parametrize(
         "spec",
@@ -672,10 +679,10 @@ class TestConnectedComponents:
         # the components; the path is as deep as a DFS gets.
         g = generate(spec)
         assert 0.9 * (1 << 17) <= g.n + g.m <= 2.1 * (1 << 17)
-        cc = connected_components(g)
+        report = compute_all_impacts(g)
         ref = _labeling(g)
-        assert cc.component_id == ref.component_id
-        assert cc.component_size == ref.component_size
+        assert report.component_id == ref.component_id
+        assert report.component_size == [ref.component_size[c] for c in ref.component_id]
 
 
 class TestGenerate:

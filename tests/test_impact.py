@@ -12,7 +12,6 @@ from blockimpact import (
     build_block_forest,
     compute_all_impacts,
     compute_sq_sizes,
-    connected_components,
     generate,
     impact_vector,
     naive_all_impacts,
@@ -21,6 +20,7 @@ from blockimpact import (
     surviving_component_sizes,
 )
 from blockimpact.graph import DecimalLabels
+from blockimpact.oracle import _labeling
 
 from _helpers import (
     all_graphs_up_to,
@@ -70,7 +70,7 @@ class TestSqSizes:
         for g in seeded_gnm_graphs(60, 40, rng):
             bf = build_block_forest(g)
             sq = compute_sq_sizes(bf)
-            cc = connected_components(g)
+            cc = _labeling(g)
             for root in bf.roots:
                 anyv = root if root < g.n else bf.round_members(root - g.n)[0]
                 assert sq[root] == cc.component_size[cc.component_id[anyv]]
@@ -133,9 +133,9 @@ class TestComputeAllImpacts:
     def test_component_columns(self):
         g = graph_from("a b\nv z\nc d\nd e")
         report = compute_all_impacts(g)
-        cc = connected_components(g)
-        assert report.component_id == cc.component_id
-        assert report.component_size == [cc.component_size[c] for c in cc.component_id]
+        naive = naive_all_impacts(g)
+        assert report.component_id == naive.component_id == [0, 0, 1, 2, 2, 2]
+        assert report.component_size == naive.component_size == [2, 2, 1, 3, 3, 3]
 
     def test_report_invariants(self):
         rng = random.Random(777)
@@ -175,7 +175,7 @@ class TestDecompositionIdentity:
     def check(self, g):
         bf = build_block_forest(g)
         sq = compute_sq_sizes(bf)
-        cc = connected_components(g)
+        cc = _labeling(g)
         rounds = square_rounds(bf)
         for v in range(g.n):
             comp = cc.component_size[cc.component_id[v]]
@@ -200,11 +200,10 @@ class TestRootInvariance:
         rng = random.Random(1618)
         for g in seeded_gnm_graphs(40, 30, rng):
             bf = build_block_forest(g)
-            cc = connected_components(g)
-            base = impact_vector(bf, compute_sq_sizes(bf), cc)
+            base = impact_vector(bf, compute_sq_sizes(bf))
             for r in range(bf.num_rounds):
                 bf2 = rerooted_at(bf, g.n + r)
-                assert impact_vector(bf2, compute_sq_sizes(bf2), cc) == base
+                assert impact_vector(bf2, compute_sq_sizes(bf2)) == base
 
 
 class TestOracleEquivalence:
