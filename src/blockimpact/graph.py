@@ -6,14 +6,15 @@ stored CSR-style: ``indptr`` is a plain list, which the DFS-heavy code in the
 rest of the package indexes most, while the neighbour slots and the edge
 table are flat ``array("i")`` buffers of 4 bytes per entry instead of one
 pointer plus one boxed int each, so a graph has at most
-:data:`MAX_VERTICES` vertices. Labels are a list of strings when they come
-from an edge list; graphs whose labels are consecutive integers (DIMACS ids,
-``Graph.from_edges`` given a count, and :func:`generate`) hold a
-:class:`DecimalLabels` instead, which makes each label when it is read. Every
-builder of given edges ends in one repeat check: a repeated edge shows up in
-the built CSR as a vertex listing a neighbour twice, and only then is the CSR
-built again; :func:`generate`, whose edges cannot repeat, skips it. This
-module imports nothing else from the package.
+:data:`MAX_VERTICES` vertices. Labels are never a list of strings: graphs
+whose labels are consecutive integers (DIMACS ids, ``Graph.from_edges`` given
+a count, and :func:`generate`) hold a :class:`DecimalLabels`, which makes
+each label when it is read, and graphs with string labels (edge lists, and
+``Graph.from_edges`` given labels) a :class:`PackedLabels`, all labels in
+one string. Every builder of given edges ends in one repeat check: a
+repeated edge shows up in the built CSR as a vertex listing a neighbour
+twice, and only then is the CSR built again; :func:`generate`, whose edges
+cannot repeat, skips it. This module imports nothing else from the package.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import math
 import os
 import random
 from array import array
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, islice, repeat, zip_longest
-from operator import eq
+from operator import eq, sub
 from typing import Iterable, Iterator, NamedTuple
 
 GENERATOR_FAMILIES = ("gnm", "path", "star", "balanced-tree", "clique-chain")
@@ -40,7 +41,19 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-class DecimalLabels(Sequence[str]):
+class _Labels(Sequence[str]):
+    """An immutable sequence of labels that compares equal to any sequence of
+    the same strings, in either direction, and is unhashable like a list."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(other) == len(self) and all(map(eq, self, other))
+
+
+class DecimalLabels(_Labels):
     """The labels ``str(first)``, ..., ``str(first + n - 1)``, each made when
     it is read: an immutable sequence that stores two ints, not n strings.
     It holds the one check of every integer vertex count: an ``n`` below 0
@@ -48,8 +61,7 @@ class DecimalLabels(Sequence[str]):
 
     Iteration runs at C speed (``map(str, range(...))``), so code that reads
     every label should iterate, or take ``list(labels)`` once, rather than
-    index per vertex. It compares equal to any sequence of the same strings,
-    in either direction, and pickles as ``(first, n)``.
+    index per vertex. It pickles as ``(first, n)``.
     """
 
     __slots__ = ("_ids",)
@@ -72,18 +84,66 @@ class DecimalLabels(Sequence[str]):
     def __iter__(self) -> Iterator[str]:
         return map(str, self._ids)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, DecimalLabels):
-            return self._ids == other._ids
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(other) == len(self._ids) and all(map(eq, self, other))
-
     def __reduce__(self):
         return DecimalLabels, (self._ids.start, len(self._ids))
 
     def __repr__(self) -> str:
         return f"DecimalLabels({self._ids.start}, {len(self._ids)})"
+
+
+class PackedLabels(_Labels):
+    """Any strings, stored as one string of them all joined by newlines plus
+    an ``array("q")`` of the n + 1 running totals of their lengths, ``ends``:
+    label ``i`` is ``text[ends[i] + i:ends[i + 1] + i]``. An immutable
+    sequence with no ``str`` object per label, so any string is a label,
+    empty or holding whitespace. The joined string takes the widest character
+    of any label, so one non-Latin-1 label widens them all.
+
+    Iteration splits the text at its newlines about sqrt(n) labels at a time,
+    at C speed and with only that many labels alive at once; a stretch with a
+    label that holds a newline of its own is sliced label by label instead.
+    So code that reads every label should iterate, or take ``list(labels)``
+    once, rather than index per vertex. It pickles as the text and the label
+    lengths, one byte each if every label is shorter than 256 characters.
+    """
+
+    __slots__ = ("_text", "_ends")
+
+    def __init__(self, labels: Collection[str]):
+        self._text = "\n".join(labels)
+        self._ends = array("q", accumulate(map(len, labels), initial=0))
+
+    def __len__(self) -> int:
+        return len(self._ends) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(map(self.__getitem__, range(len(self))[i]))
+        i = range(len(self))[i]  # IndexError as a sequence raises it
+        return self._text[self._ends[i] + i:self._ends[i + 1] + i]
+
+    def __iter__(self) -> Iterator[str]:
+        n = len(self)
+        step = math.isqrt(n) or 1
+        return chain.from_iterable(map(self._stretch, range(0, n, step), repeat(step)))
+
+    def _stretch(self, lo: int, step: int) -> list[str]:
+        hi = min(lo + step, len(self))
+        part = self._text[self._ends[lo] + lo:self._ends[hi] + hi - 1].split("\n")
+        return part if len(part) == hi - lo else self[lo:hi]
+
+    def __reduce__(self):
+        ends = self._ends
+        lengths = list(map(sub, islice(ends, 1, None), ends))
+        typecode = "B" if max(lengths, default=0) < 256 else "q"
+        return PackedLabels, ((),), (self._text, array(typecode, lengths))
+
+    def __setstate__(self, state: tuple[str, array]) -> None:
+        self._text, lengths = state
+        self._ends = array("q", accumulate(lengths, initial=0))
+
+    def __repr__(self) -> str:
+        return f"PackedLabels({list(self)!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,9 +154,9 @@ class Graph:
     edge appears there exactly twice, once per endpoint. Edge ``e`` is
     ``(ends[2*e], ends[2*e+1])`` as first recorded, and edge ids index
     ``ends`` alone: the adjacency does not carry them. ``nbr`` and ``ends``
-    are ``array("i")``; ``indptr`` is a list, and ``labels`` a list of
-    strings or a :class:`DecimalLabels`. There are no self-loops and no
-    parallel edges.
+    are ``array("i")``; ``indptr`` is a list, and ``labels`` a
+    :class:`DecimalLabels` or a :class:`PackedLabels`, never a list. There
+    are no self-loops and no parallel edges.
     """
 
     n: int
@@ -113,16 +173,17 @@ class Graph:
         """Build a graph from an edge list over 0-based vertex ids.
 
         ``vertices`` is either a vertex count (labels are the decimal ids,
-        as a :class:`DecimalLabels`, which checks the count) or the full list
-        of labels. Raises ValueError on a negative count or one above
-        :data:`MAX_VERTICES`, repeated labels, out-of-range ids or self-loops
-        (found before any repeat, wherever they sit), and on a repeated edge,
-        named by its first repeating pair as given.
+        as a :class:`DecimalLabels`, which checks the count) or the full
+        sequence of labels, kept as a :class:`PackedLabels`. Raises
+        ValueError on a negative count or one above :data:`MAX_VERTICES`,
+        repeated labels, out-of-range ids or self-loops (found before any
+        repeat, wherever they sit), and on a repeated edge, named by its
+        first repeating pair as given.
         """
         if isinstance(vertices, int):
             labels: Sequence[str] = DecimalLabels(0, vertices)
         else:
-            labels = list(vertices)
+            labels = PackedLabels(vertices)
             if len(set(labels)) != len(labels):
                 raise ValueError("duplicate vertex labels")
         n = len(labels)
@@ -264,7 +325,7 @@ def parse_edge_list(text: str | Iterable[str]) -> ParseResult:
         append(u)
         append(w)
     # Free the label map before the CSR build allocates.
-    labels = list(ids)
+    labels = PackedLabels(ids)
     del ids, intern
     return _without_repeats(labels, ends, dropped)
 

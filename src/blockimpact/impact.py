@@ -138,13 +138,18 @@ class ImpactReport:
         comp_id = cc.component_id
         comp_size_col = [cc.component_size[c] for c in comp_id]
         max_impact = max(impact, default=0)
-        # Ties for the largest impact go to the smallest label. Labels may be
-        # made on read (DecimalLabels), so only the tied vertices' labels are
-        # read; each index call resumes where the last stopped, one C-level
+        # Ties for the largest impact go to the smallest label. With no
+        # articulation point every vertex ties, and one pass over the labels
+        # reads them all at C speed. A positive maximum is mostly held by few
+        # vertices, so only theirs are read, by index (labels are made on
+        # read); each index call resumes where the last stopped, one C-level
         # pass over impact in all.
-        at = -1
-        ties = [at := impact.index(max_impact, at + 1) for _ in range(impact.count(max_impact))]
-        max_label = min(map(labels.__getitem__, ties), default=None)
+        if max_impact:
+            at = -1
+            ties = [at := impact.index(max_impact, at + 1) for _ in range(impact.count(max_impact))]
+            max_label = min(map(labels.__getitem__, ties))
+        else:
+            max_label = min(labels, default=None)
         return cls(
             labels=labels,
             impact=impact,

@@ -818,9 +818,9 @@ class TestExitCodes:
             path.write_text(f"p edge {MAX_VERTICES} 0\n")
             args = ["--format", "dimacs", str(path)]
         else:
-            # 300 000 disjoint edges: ~166 MiB peak RSS uncapped.
+            # 500 000 disjoint edges: ~218 MiB peak RSS uncapped.
             path = tmp_path / "disjoint.edges"
-            path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(300_000)))
+            path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(500_000)))
             args = ["--all", str(path)]
         proc = subprocess.run(
             [sys.executable, "-m", "blockimpact.cli", "analyze", *args],

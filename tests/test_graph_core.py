@@ -23,7 +23,7 @@ from blockimpact import (
 )
 
 import blockimpact.graph as graph_mod
-from blockimpact.graph import DecimalLabels
+from blockimpact.graph import DecimalLabels, PackedLabels
 from blockimpact.oracle import _labeling
 
 from _helpers import (
@@ -453,8 +453,8 @@ class TestGraphInvariants:
 class TestStorage:
     """``nbr`` and ``ends`` are flat 4-byte ``array("i")`` on every way a
     graph is built, the CSR rebuilt after dropping repeats included;
-    ``edges`` is derived from ``ends`` in recorded order. Labels are a list
-    only when they came from an edge list."""
+    ``edges`` is derived from ``ends`` in recorded order. Labels are never a
+    list: integer ids give a DecimalLabels and string labels a PackedLabels."""
 
     BUILDERS = {
         "edgelist": lambda: parse_edge_list("a b\nc a\nb c\nc d\nv e")[0],
@@ -464,8 +464,8 @@ class TestStorage:
         # The repeats "a c" and "b c" make the parser build its CSR a second time.
         "edgelist-repeats": lambda: parse_edge_list("a b\nc a\na c\nb c\nc b\nc d\nv e")[0],
     }
-    LABELS = {"edgelist": list, "dimacs": DecimalLabels, "from_edges": DecimalLabels,
-              "generate": DecimalLabels, "edgelist-repeats": list}
+    LABELS = {"edgelist": PackedLabels, "dimacs": DecimalLabels, "from_edges": DecimalLabels,
+              "generate": DecimalLabels, "edgelist-repeats": PackedLabels}
 
     @pytest.mark.parametrize("name", BUILDERS)
     def test_flat_four_byte_arrays(self, name):
@@ -559,6 +559,74 @@ class TestDecimalLabels:
         assert type(again) is DecimalLabels and again == labels and list(again) == list(labels)
         big = DecimalLabels(0, 2**20)
         assert len(pickle.dumps(big, protocol=pickle.HIGHEST_PROTOCOL)) < 100
+
+
+class TestPackedLabels:
+    """Labels packed into one string behave as the list of the same strings
+    would, whatever the strings hold: a newline in a label too, which the
+    text also puts between labels."""
+
+    WANT = ["b", "", "a c", "\u00e9t\u00e9", "\U0001f600", "x\ty", "v", "#x", "ab", "c\nd", " ", "9"]
+
+    def test_length_iteration_and_indexing(self):
+        want = self.WANT
+        labels = PackedLabels(want)
+        assert len(labels) == 12 and list(labels) == want
+        assert [labels[i] for i in range(-12, 12)] == want + want
+        for i in (12, -13):
+            with pytest.raises(IndexError):
+                labels[i]
+        for part in (slice(2, 5), slice(None, None, -3), slice(-4, None), slice(5, 2)):
+            assert labels[part] == want[part], part
+        assert list(reversed(labels)) == want[::-1]
+        assert len(PackedLabels([])) == 0 and list(PackedLabels([])) == []
+        with pytest.raises(IndexError):
+            PackedLabels([])[0]
+        assert list(PackedLabels([""])) == [""] and list(PackedLabels(["\n"])) == ["\n"]
+        many = [f"{i}\n" if i % 97 == 0 else str(i) for i in range(5000)]
+        assert list(PackedLabels(many)) == many
+
+    def test_index_and_membership(self):
+        labels = PackedLabels(self.WANT)
+        assert labels.index("b") == 0 and labels.index("9") == 11 and labels.index("") == 1
+        assert labels.index("ab", 3, 9) == 8 and labels.index("ab", -7) == 8
+        assert "a c" in labels and labels.count(" ") == 1
+        # Pieces of the joined text that are no label, or not a string at all.
+        for label in ("bc", "c\u00e9", "a", "cd", "\n", "c", "d", "ab\nc", "x", "#", "9 ", 9, None):
+            assert label not in labels, label
+            assert labels.count(label) == 0
+            with pytest.raises(ValueError):
+                labels.index(label)
+        with pytest.raises(ValueError):
+            labels.index("ab", 9)
+
+    def test_equality_with_sequences_both_ways(self):
+        labels = PackedLabels(["1", "2", "3"])
+        for same in (["1", "2", "3"], ("1", "2", "3"), DecimalLabels(1, 3), PackedLabels(["1", "2", "3"])):
+            assert labels == same and same == labels
+            assert not labels != same and not same != labels
+        for other in (["1", "2"], ["1", "2", "4"], [1, 2, 3], DecimalLabels(0, 3), "123",
+                      PackedLabels(["12", "3", ""]), PackedLabels(["1", "23", ""])):
+            assert labels != other and other != labels
+        assert PackedLabels([]) == [] == DecimalLabels(5, 0) == PackedLabels([])
+        with pytest.raises(TypeError):
+            hash(labels)
+
+    def test_pickle_round_trip(self):
+        for want in (self.WANT, [*self.WANT, "x" * 300]):  # one label too long for a byte
+            labels = PackedLabels(want)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                again = pickle.loads(pickle.dumps(labels, protocol=protocol))
+                assert type(again) is PackedLabels and list(again) == want, protocol
+        many = [str(i) for i in range(2**16)]
+        packed = len(pickle.dumps(PackedLabels(many), protocol=pickle.HIGHEST_PROTOCOL))
+        assert packed < len(pickle.dumps(many, protocol=pickle.HIGHEST_PROTOCOL))
+
+    def test_from_edges_keeps_any_label(self):
+        g = Graph.from_edges(self.WANT, [(0, 1), (1, 2), (3, 4), (6, 7)])
+        assert type(g.labels) is PackedLabels and g.labels == self.WANT
+        assert [(g.labels[u], g.labels[w]) for u, w in g.edges] == [
+            ("b", ""), ("", "a c"), ("\u00e9t\u00e9", "\U0001f600"), ("v", "#x")]
 
 
 @st.composite

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockimpact import (
+    CcLabeling,
     GeneratorSpec,
     Graph,
+    ImpactReport,
     articulation_points,
     build_block_forest,
     compute_all_impacts,
@@ -16,10 +18,11 @@ from blockimpact import (
     impact_vector,
     naive_all_impacts,
     naive_impact,
+    parse_dimacs,
     rerooted_at,
     surviving_component_sizes,
 )
-from blockimpact.graph import DecimalLabels
+from blockimpact.graph import DecimalLabels, PackedLabels
 from blockimpact.oracle import _labeling
 
 from _helpers import (
@@ -163,6 +166,22 @@ class TestComputeAllImpacts:
                 tied = [lab for lab, x in zip(h.labels, report.impact) if x == report.max_impact]
                 assert report.max_impact_label == min(tied), (h, report.impact)
         assert compute_all_impacts(graphs[3]).max_impact_label == "10"
+
+    def test_max_impact_label_when_every_vertex_ties(self):
+        # With no articulation point every impact is 0 and every vertex ties;
+        # the smallest label wins by string order ("10" < "9"), not id order,
+        # on each kind of labels.
+        want = [str(i) for i in range(9, 21)]
+        n = len(want)
+        cc = CcLabeling([0] * n, [n])
+        for labels in (DecimalLabels(9, n), PackedLabels(want[::-1]), want):
+            report = ImpactReport.from_columns(labels, [0] * n, [False] * n, cc, n)
+            assert report.max_impact_label == "10", labels
+        cycle = [(v, (v + 1) % n) for v in range(n)]
+        for g in (Graph.from_edges(want[::-1], cycle), parse_dimacs(f"p edge {n} 0\n")[0]):
+            report = compute_all_impacts(g)
+            assert report.max_impact == 0 and report.max_impact_label == min(g.labels)
+        assert compute_all_impacts(Graph.from_edges(0, [])).max_impact_label is None
 
     def test_report_columns(self):
         report = compute_all_impacts(path6())
@@ -340,7 +359,7 @@ class TestRelabelInvarianceAtScale:
         edges = [(w, u) if rng.random() < 0.5 else (u, w) for u, w in edges]
         rng.shuffle(edges)
         relabeled = Graph.from_edges(labels, edges)
-        assert type(g.labels) is DecimalLabels and type(relabeled.labels) is list
+        assert type(g.labels) is DecimalLabels and type(relabeled.labels) is PackedLabels
 
         def per_label(h):
             report = compute_all_impacts(h)
